@@ -6,10 +6,10 @@ return a matching scalar or array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "WeibullParams",
@@ -56,6 +56,10 @@ class LatentCountParams:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.theta) and self.theta >= 0.0):
             raise ValueError(f"theta must be a nonnegative finite number, got {self.theta!r}")
+
+
+# log Gamma, elementwise over count arrays
+_gammaln = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _as_time(t) -> np.ndarray:
@@ -127,7 +131,7 @@ def poisson_pmf(m, theta: float):
     """P(M = m) = theta^m exp(-theta) / m! for m = 0, 1, 2, ..."""
     theta = _check_theta(theta)
     arr = _as_count(m, minimum=0)
-    out = np.exp(arr * np.log(theta) - theta - gammaln(arr + 1.0))
+    out = np.exp(arr * np.log(theta) - theta - _gammaln(arr + 1.0))
     return _ret(out, np.asarray(m))
 
 
@@ -135,7 +139,7 @@ def zt_poisson_pmf(m, theta: float):
     """Zero-truncated pmf theta^m / (m! (exp(theta) - 1)) for m = 1, 2, ..."""
     theta = _check_theta(theta)
     arr = _as_count(m, minimum=1)
-    out = np.exp(arr * np.log(theta) - gammaln(arr + 1.0) - log_expm1(theta))
+    out = np.exp(arr * np.log(theta) - _gammaln(arr + 1.0) - log_expm1(theta))
     return _ret(out, np.asarray(m))
 
 

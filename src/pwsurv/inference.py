@@ -1,10 +1,10 @@
 """Maximum-likelihood fitting and Wald inference for both model kinds.
 
-The likelihood is maximized over (theta, shape, scale) by Newton-Raphson in
-log coordinates (which enforces positivity), with a finite-difference Hessian
-built from the analytic score and a backtracking line search. Standard errors
-come from the observed information, recomputed in the original
-parameterization at the optimum.
+One kernel returns the log-likelihood, its analytic score and its exact
+Hessian in (theta, shape, scale) for either kind. The likelihood is maximized
+by Newton-Raphson in log coordinates (which enforces positivity) with a
+backtracking line search; standard errors come from the exact observed
+information at the optimum.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import LatentCountParams, WeibullParams, log_expm1
+from .distributions import LatentCountParams, WeibullParams
 from .events import EventRecord, to_arrays
 from .models import ModelKind, ModelSpec
-from .nonparametric import kaplan_meier
+from .nonparametric import KmCurve, kaplan_meier_arrays
 
 __all__ = [
     "EventRecord",
@@ -56,8 +56,6 @@ class FitOptions:
 
     gradient_tol: float = 1e-8
     max_iterations: int = 200
-    max_halvings: int = 40
-    information_step: float = 1e-5
     initial: tuple[float, float, float] | None = None
 
 
@@ -86,68 +84,109 @@ class FitResult:
         return np.array(self.model.params())
 
 
-# --- log-likelihoods and analytic scores ---------------------------------
+# --- the likelihood kernel -------------------------------------------------
 #
-# Shared quantities per observation, writing z = t/scale:
-#   w = z^shape, S = exp(-w), F = 1 - S
-#   log f = log(shape) - log(scale) + (shape - 1) log z - w
+# Both kinds share one log-likelihood. With d the event flag, D = sum d over
+# n records, z = t/scale, L = log z, w = z^shape and S = exp(-w):
+#
+#   l = sum d log f + theta sum S + D log(theta) - n c(theta)
+#   log f = log(shape) - log(scale) + (shape - 1) L - w
+#
+# The promotion-time kind has c(theta) = theta; the zero-truncated kind has
+# c(theta) = log(e^theta - 1) and d = 1, so its theta-only terms equal
+# -n log exprel(theta) with exprel(x) = (e^x - 1)/x, smooth through 0.
 
-def _weibull_terms(times: np.ndarray, shape: float, scale: float):
+# Below this theta the zero-truncated theta derivatives use their Taylor
+# series; the closed forms lose every digit as theta goes to 0.
+_SERIES_CUTOFF = 1e-3
+
+
+def _loglik_derivatives(
+    kind: ModelKind, times: np.ndarray, flags: np.ndarray, params: Sequence[float]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, score and Hessian in params = (theta, shape, scale), in one pass."""
+    theta, shape, scale = params
+    n = times.size
+    n_events = float(np.sum(flags))
+    # c0, c1, c2: the theta-only terms D log(theta) - n c(theta) and their
+    # first two theta derivatives
+    if kind is ModelKind.PROMOTION_TIME:
+        c0 = n_events * np.log(theta) - n * theta
+        c1 = n_events / theta - n
+        c2 = -n_events / theta**2
+    else:
+        one_minus = -np.expm1(-theta)
+        c0 = -n * (theta + np.log(one_minus / theta))
+        if theta < _SERIES_CUTOFF:
+            c1 = -n * (0.5 + theta / 12.0 - theta**3 / 720.0)
+            c2 = -n * (1.0 / 12.0 - theta**2 / 240.0)
+        else:
+            c1 = -n * (1.0 / one_minus - 1.0 / theta)
+            c2 = -n * (1.0 / theta**2 - np.exp(-theta) / one_minus**2)
+
     logz = np.log(times / scale)
     w = np.exp(shape * logz)
     surv = np.exp(-w)
-    return logz, w, surv
+    q = surv * w  # -dS/dw
+    r = q * (1.0 - w)  # d(S w)/dw
+    rl = r * logz
+    dw = flags * w
+    dwl = dw * logz
+    s0 = np.sum(surv)
+    q0, q1 = np.sum(q), np.sum(q * logz)
+    r0, r1, r2 = np.sum(r), np.sum(rl), np.sum(rl * logz)
+    dl = np.sum(flags * logz)
+    e0, e1, e2 = np.sum(dw), np.sum(dwl), np.sum(dwl * logz)
+    ratio = shape / scale
+
+    loglik = c0 + n_events * np.log(ratio) + (shape - 1.0) * dl - e0 + theta * s0
+    score = np.array([
+        c1 + s0,
+        n_events / shape + dl - e1 - theta * q1,
+        ratio * (e0 - n_events + theta * q0),
+    ])
+    h_ss = -n_events / shape**2 - e2 - theta * r2
+    h_sb = (e0 - n_events + shape * e1 + theta * (q0 + shape * r1)) / scale
+    h_bb = -(ratio / scale) * (e0 - n_events + shape * e0 + theta * (q0 + shape * r0))
+    hessian = np.array([
+        [c2, -q1, ratio * q0],
+        [-q1, h_ss, h_sb],
+        [ratio * q0, h_sb, h_bb],
+    ])
+    return float(loglik), score, hessian
 
 
 def _zt_loglik(times: np.ndarray, theta: float, shape: float, scale: float) -> float:
-    logz, w, surv = _weibull_terms(times, shape, scale)
-    logf = np.log(shape) - np.log(scale) + (shape - 1.0) * logz - w
-    return float(np.sum(np.log(theta) + theta * surv - log_expm1(theta) + logf))
+    ones = np.ones(times.size)
+    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, times, ones, (theta, shape, scale))[0]
 
 
 def _zt_score(times: np.ndarray, theta: float, shape: float, scale: float) -> np.ndarray:
-    logz, w, surv = _weibull_terms(times, shape, scale)
-    n = times.size
-    d_theta = n * (1.0 / theta - 1.0 / -np.expm1(-theta)) + np.sum(surv)
-    d_shape = np.sum(1.0 / shape + logz * (1.0 - w - theta * surv * w))
-    d_scale = np.sum((shape / scale) * (w - 1.0 + theta * surv * w))
-    return np.array([d_theta, d_shape, d_scale])
+    ones = np.ones(times.size)
+    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, times, ones, (theta, shape, scale))[1]
 
 
 def _ptm_loglik(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> float:
-    logz, w, surv = _weibull_terms(times, shape, scale)
-    logf = np.log(shape) - np.log(scale) + (shape - 1.0) * logz - w
-    cdf = -np.expm1(-w)
-    return float(np.sum(flags * (np.log(theta) + logf) - theta * cdf))
+    return _loglik_derivatives(ModelKind.PROMOTION_TIME, times, flags, (theta, shape, scale))[0]
 
 
 def _ptm_score(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> np.ndarray:
-    logz, w, surv = _weibull_terms(times, shape, scale)
-    cdf = -np.expm1(-w)
-    d_theta = np.sum(flags / theta - cdf)
-    d_shape = np.sum(flags * (1.0 / shape + logz * (1.0 - w)) - theta * surv * w * logz)
-    d_scale = np.sum(flags * (shape / scale) * (w - 1.0) + theta * surv * w * shape / scale)
-    return np.array([d_theta, d_shape, d_scale])
+    return _loglik_derivatives(ModelKind.PROMOTION_TIME, times, flags, (theta, shape, scale))[1]
 
 
-def _validate_zt_data(times: np.ndarray, flags: np.ndarray) -> None:
+def _validate(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> None:
     if times.size == 0:
         raise ValueError("dataset is empty")
-    if np.any(flags == 0):
+    if kind is ModelKind.ZERO_TRUNCATED and np.any(flags == 0):
         raise ValueError(
             "the zero-truncated model applies to fully observed data; "
             "censored records are not allowed"
         )
-
-
-def _validate_ptm_data(times: np.ndarray, flags: np.ndarray) -> None:
-    if times.size == 0:
-        raise ValueError("dataset is empty")
-    if not np.any(flags == 1):
+    if kind is ModelKind.PROMOTION_TIME and not np.any(flags == 1):
         raise NoEventsError(
             "no events in the dataset; the promotion-time intensity is not identifiable"
         )
@@ -161,7 +200,7 @@ def loglik_zt(data: Iterable[EventRecord], m: ModelSpec) -> float:
     if m.kind is not ModelKind.ZERO_TRUNCATED:
         raise ValueError("loglik_zt requires a zero-truncated ModelSpec")
     times, flags = to_arrays(data)
-    _validate_zt_data(times, flags)
+    _validate(m.kind, times, flags)
     return _zt_loglik(times, *m.params())
 
 
@@ -180,36 +219,41 @@ def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
 
 # --- optimizer -------------------------------------------------------------
 
-def _km_weibull_init(data: Sequence[EventRecord]) -> tuple[float, float]:
+# Step halvings before the line search gives up.
+_MAX_HALVINGS = 40
+
+
+def _weibull_plot_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """Shape/scale from the least-squares line y = shape * (log t - log scale), if valid."""
+    slope, intercept = np.polyfit(np.log(t), y, 1)
+    if np.isfinite(slope) and slope > 0.0:
+        scale = float(np.exp(-intercept / slope))
+        if np.isfinite(scale) and scale > 0.0:
+            return float(slope), scale
+    return None
+
+
+def _km_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
     """Starting shape/scale from a least-squares Weibull plot of the KM curve.
 
     Regresses log(-log S(t)) on log t over event times with 0 < S < 1; falls
     back to shape 1 and the mean time when the regression is degenerate.
     """
-    times, _ = to_arrays(data)
-    curve = kaplan_meier(data)
     keep = (curve.survival > 0.0) & (curve.survival < 1.0)
-    t = curve.times[keep]
-    s = curve.survival[keep]
-    if t.size >= 2:
-        x = np.log(t)
-        y = np.log(-np.log(s))
-        slope, intercept = np.polyfit(x, y, 1)
-        if np.isfinite(slope) and slope > 0.0:
-            scale = float(np.exp(-intercept / slope))
-            if np.isfinite(scale) and scale > 0.0:
-                return float(slope), scale
+    if np.count_nonzero(keep) >= 2:
+        fit = _weibull_plot_fit(curve.times[keep], np.log(-np.log(curve.survival[keep])))
+        if fit is not None:
+            return fit
     return 1.0, float(np.mean(times))
 
 
-def _ptm_weibull_init(data: Sequence[EventRecord]) -> tuple[float, float]:
+def _ptm_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
     """Starting shape/scale for the promotion-time fit.
 
     Under that model -ln S_KM(t) estimates theta*F(t), so the KM plot
     plateaus instead of diverging; rescaling by its terminal value recovers
     the shape of the base CDF, which then feeds the usual Weibull plot.
     """
-    curve = kaplan_meier(data)
     keep = curve.survival > 0.0
     cum = -np.log(curve.survival[keep])
     t = curve.times[keep]
@@ -217,24 +261,19 @@ def _ptm_weibull_init(data: Sequence[EventRecord]) -> tuple[float, float]:
         frac = cum / cum[-1]
         mid = (frac > 0.01) & (frac < 0.99)
         if np.count_nonzero(mid) >= 2:
-            x = np.log(t[mid])
-            y = np.log(-np.log1p(-frac[mid]))
-            slope, intercept = np.polyfit(x, y, 1)
-            if np.isfinite(slope) and slope > 0.0:
-                scale = float(np.exp(-intercept / slope))
-                if np.isfinite(scale) and scale > 0.0:
-                    return float(slope), scale
-    return _km_weibull_init(data)
+            fit = _weibull_plot_fit(t[mid], np.log(-np.log1p(-frac[mid])))
+            if fit is not None:
+                return fit
+    return _km_weibull_init(curve, times)
 
 
-def _initial_params(
-    data: Sequence[EventRecord], kind: ModelKind, times: np.ndarray, flags: np.ndarray
-) -> np.ndarray:
+def _initial_params(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    curve = kaplan_meier_arrays(times, flags)
     if kind is ModelKind.ZERO_TRUNCATED:
-        shape0, scale0 = _km_weibull_init(data)
+        shape0, scale0 = _km_weibull_init(curve, times)
         theta0 = 1.0
     else:
-        shape0, scale0 = _ptm_weibull_init(data)
+        shape0, scale0 = _ptm_weibull_init(curve, times)
         # profile value: d loglik / d theta = 0 at theta = events / sum F(t_i)
         cdf_sum = float(np.sum(-np.expm1(-((times / scale0) ** shape0))))
         if cdf_sum > 0.0:
@@ -245,92 +284,74 @@ def _initial_params(
     return np.array([theta0, shape0, scale0])
 
 
-def _fd_hessian(score, x: np.ndarray, step_scale: float) -> np.ndarray:
-    """Central finite differences of a score function, symmetrized."""
-    k = x.size
-    h_mat = np.empty((k, k))
-    for j in range(k):
-        h = step_scale * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        h_mat[:, j] = (score(xp) - score(xm)) / (2.0 * h)
-    return 0.5 * (h_mat + h_mat.T)
+def _ascent_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton direction, ridge-damped when the Hessian is not negative definite.
 
-
-def _damped_newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """Ascent direction when the Hessian is not negative definite.
-
-    Ridge damping: solve (H - lam*I) d = -g with lam grown until the shifted
-    matrix is negative definite. Keeps curvature scaling in the concave
-    directions instead of collapsing to a raw gradient step, which crawls
-    on ridge-shaped likelihoods.
+    Solves (H - lam*I) d = -g with lam = 0 first, then with lam grown until the
+    shifted matrix is negative definite. Keeps curvature scaling in the concave
+    directions instead of collapsing to a raw gradient step, which crawls on
+    ridge-shaped likelihoods; that step is left only for a non-finite H.
     """
-    eye = np.eye(g.size)
-    lam = 1e-3 * max(1.0, float(np.max(np.abs(np.diag(hess)))))
-    for _ in range(60):
-        shifted = hess - lam * eye
-        try:
-            np.linalg.cholesky(-shifted)
-            return np.linalg.solve(shifted, -g)
-        except np.linalg.LinAlgError:
-            lam *= 4.0
-    return None
+    if np.all(np.isfinite(hess)):
+        eye = np.eye(g.size)
+        ridge = 1e-3 * max(1.0, float(np.max(np.abs(np.diag(hess)))))
+        for lam in [0.0] + [ridge * 4.0**k for k in range(60)]:
+            shifted = hess - lam * eye
+            try:
+                np.linalg.cholesky(-shifted)
+                return np.linalg.solve(shifted, -g)
+            except np.linalg.LinAlgError:
+                pass
+    return g / float(np.max(np.abs(g)))
 
 
-def _newton_maximize(loglik, score, u0: np.ndarray, opts: FitOptions):
-    """Maximize loglik(u) over unconstrained u; returns (u, trace, diagnostics)."""
-    u = u0.copy()
-    ll = loglik(u)
+def _newton_maximize(
+    kind: ModelKind, times: np.ndarray, flags: np.ndarray, p: np.ndarray, opts: FitOptions
+):
+    """Maximize the log-likelihood over u = log p, starting from p.
+
+    Returns (p, loglik, Hessian in p, trace, converged, iterations, gradient norm).
+    """
+    ll, g, hess = _loglik_derivatives(kind, times, flags, p)
     if not np.isfinite(ll):
         raise ValueError("log-likelihood is not finite at the starting point")
     trace = [ll]
     iterations = 0
     converged = False
+    u = np.log(p)
 
     while True:
-        g = score(u)
-        gnorm = float(np.max(np.abs(g)))
+        # chain rule for u = log p: g_u = p g, H_u = diag(p) H diag(p) + diag(p g)
+        g_u = p * g
+        gnorm = float(np.max(np.abs(g_u)))
         if gnorm < opts.gradient_tol:
             converged = True
             break
         if iterations >= opts.max_iterations:
             break
 
-        hess = _fd_hessian(score, u, opts.information_step)
-        direction = None
-        if np.all(np.isfinite(hess)):
-            try:
-                np.linalg.cholesky(-hess)
-                direction = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                direction = _damped_newton_direction(hess, g)
-        if direction is None:
-            direction = g / gnorm
-
-        slope = float(g @ direction)
+        direction = _ascent_direction(np.outer(p, p) * hess + np.diag(g_u), g_u)
+        slope = float(g_u @ direction)
         # Objective changes this small are below float summation noise; accept
         # the step on the gradient criterion alone.
         noise = 1e-9 * (1.0 + abs(ll))
         alpha = 1.0
-        accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             u_try = u + alpha * direction
-            ll_try = loglik(u_try)
+            p_try = np.exp(u_try)
+            ll_try, g_try, hess_try = _loglik_derivatives(kind, times, flags, p_try)
             if np.isfinite(ll_try) and (
                 ll_try >= ll or (alpha * slope <= noise and ll_try >= ll - noise)
             ):
-                u, ll = u_try, ll_try
+                u, p, ll, g, hess = u_try, p_try, ll_try, g_try, hess_try
                 trace.append(ll)
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
         iterations += 1
 
-    return u, ll, tuple(trace), converged, iterations, gnorm
+    return p, ll, hess, tuple(trace), converged, iterations, gnorm
 
 
 def _name_singular_parameter(info: np.ndarray) -> str:
@@ -382,7 +403,7 @@ def fit_mle(
     """Maximum-likelihood fit of either model on loan event records.
 
     Newton-Raphson runs on (log theta, log shape, log scale); the reported
-    standard errors use the observed information recomputed in the original
+    standard errors use the exact observed information in the original
     parameterization at the optimum. Non-convergence is reported through
     converged=False with NaN Wald statistics, never silently.
 
@@ -396,52 +417,26 @@ def fit_mle(
         When the information matrix at a converged optimum is singular.
     """
     opts = options or FitOptions()
-    records = list(data)
-    times, flags = to_arrays(records)
-    if kind is ModelKind.ZERO_TRUNCATED:
-        _validate_zt_data(times, flags)
-
-        def loglik_params(p):
-            return _zt_loglik(times, p[0], p[1], p[2])
-
-        def score_params(p):
-            return _zt_score(times, p[0], p[1], p[2])
-
-    else:
-        _validate_ptm_data(times, flags)
-
-        def loglik_params(p):
-            return _ptm_loglik(times, flags, p[0], p[1], p[2])
-
-        def score_params(p):
-            return _ptm_score(times, flags, p[0], p[1], p[2])
+    times, flags = to_arrays(data)
+    _validate(kind, times, flags)
 
     if opts.initial is not None:
         start = np.array(opts.initial, dtype=float)
     else:
-        start = _initial_params(records, kind, times, flags)
+        start = _initial_params(kind, times, flags)
     if np.any(start <= 0.0) or not np.all(np.isfinite(start)):
         raise ValueError(f"initial parameters must be positive and finite, got {start}")
 
-    def loglik_u(u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return loglik_params(np.exp(u))
-
-    def score_u(u):
-        p = np.exp(u)
-        return score_params(p) * p
-
-    u_hat, ll, trace, converged, iterations, gnorm = _newton_maximize(
-        loglik_u, score_u, np.log(start), opts
-    )
-    estimates = np.exp(u_hat)
+    with np.errstate(all="ignore"):
+        estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(
+            kind, times, flags, start, opts
+        )
 
     spec = ModelSpec(kind, LatentCountParams(estimates[0]), WeibullParams(estimates[1], estimates[2]))
     nan3 = np.full(3, np.nan)
     se, ci_low, ci_high, p_value, cov = nan3, nan3, nan3, nan3, None
     if converged:
-        info = -_fd_hessian(score_params, estimates, opts.information_step)
-        cov, se = _wald_from_information(info)
+        cov, se = _wald_from_information(-hess)
         ci_low = estimates - Z_95 * se
         ci_high = estimates + Z_95 * se
         p_value = _two_sided_p(estimates / se)

@@ -10,7 +10,7 @@ import numpy as np
 from .events import EventRecord, to_arrays
 from .models import ModelSpec, model_survival
 
-__all__ = ["KmCurve", "kaplan_meier", "overlay_export"]
+__all__ = ["KmCurve", "kaplan_meier", "kaplan_meier_arrays", "overlay_export"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,16 +44,16 @@ def kaplan_meier(data: Iterable[EventRecord]) -> KmCurve:
     t_i. A censored subject leaves the risk set after its time, so a censoring
     tied with an event at the same time still counts as at risk there.
     """
-    times, flags = to_arrays(data)
+    return kaplan_meier_arrays(*to_arrays(data))
+
+
+def kaplan_meier_arrays(times: np.ndarray, flags: np.ndarray) -> KmCurve:
+    """kaplan_meier on a float time array and its 0/1 event-flag array."""
     if times.size == 0:
         raise ValueError("kaplan_meier requires a nonempty dataset")
 
-    event_times = np.unique(times[flags == 1])
-    sorted_all = np.sort(times)
-    n = times.size
-
-    at_risk = n - np.searchsorted(sorted_all, event_times, side="left")
-    deaths = np.array([np.sum((times == t) & (flags == 1)) for t in event_times], dtype=int)
+    event_times, deaths = np.unique(times[flags == 1], return_counts=True)
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
     survival = np.cumprod(1.0 - deaths / at_risk)
 
     return KmCurve(times=event_times, survival=survival, at_risk=at_risk.astype(int), events=deaths)

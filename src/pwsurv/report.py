@@ -1,8 +1,8 @@
 """Dataset ingestion, per-cohort fit orchestration, and table formatting.
 
-Input CSV schema: header ``time,event,cohort``; time a positive decimal in
-the user's time unit, event 0 or 1, cohort an opaque label. Output tables
-mirror the two report formats: per-parameter Wald summaries and the
+Input CSV schema: header ``time,event,cohort``; time a positive finite
+decimal in the user's time unit, event 0 or 1, cohort an opaque label. Output
+tables mirror the two report formats: per-parameter Wald summaries and the
 cross-cohort metric summary (latent default intensity, recovery intensity,
 observed and model LGD at the horizon).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -91,8 +92,10 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
                 raise CsvFormatError(
                     f"line {lineno}: non-numeric time {raw_time!r}"
                 ) from None
-            if not time > 0.0:
-                raise CsvFormatError(f"line {lineno}: time must be positive, got {raw_time}")
+            if not (math.isfinite(time) and time > 0.0):
+                raise CsvFormatError(
+                    f"line {lineno}: time must be a positive finite number, got {raw_time}"
+                )
             if raw_event.strip() not in ("0", "1"):
                 raise CsvFormatError(
                     f"line {lineno}: event flag must be 0 or 1, got {raw_event!r}"

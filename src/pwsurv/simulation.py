@@ -22,6 +22,9 @@ __all__ = ["SimConfig", "sample_latent_count", "simulate_cohort"]
 
 _TINY = np.finfo(float).tiny
 
+# Largest theta sampled from the zero-truncated inverse-CDF table.
+_ZT_TABLE_MAX_THETA = 700.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -72,13 +75,21 @@ def sample_latent_count(kind: ModelKind, theta: float, rng: np.random.Generator)
     """Draw the latent cause count M for one subject.
 
     Poisson(theta) for the promotion-time kind (M = 0 means cured);
-    zero-truncated Poisson via inverse CDF for the zero-truncated kind,
-    so the draw is always >= 1.
+    zero-truncated Poisson for the zero-truncated kind, so the draw is
+    always >= 1: by inverse CDF up to theta = 700, and above that by
+    redrawing Poisson(theta) until it is nonzero.
     """
     if not (np.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be a positive finite number, got {theta!r}")
     if kind is ModelKind.PROMOTION_TIME:
         return int(rng.poisson(theta))
+    if theta > _ZT_TABLE_MAX_THETA:
+        # The table's first mass theta / (e^theta - 1) overflows here; redraw
+        # the Poisson zero instead, which has probability e^-theta.
+        m = 0
+        while m == 0:
+            m = int(rng.poisson(theta))
+        return m
     table = _zt_cdf_table(theta)
     return int(np.searchsorted(table, rng.random(), side="right")) + 1
 

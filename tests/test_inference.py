@@ -24,8 +24,10 @@ from pwsurv import (
     ztpw_density,
 )
 from pwsurv.inference import (
+    _SERIES_CUTOFF,
     PARAM_NAMES,
     Z_95,
+    _loglik_derivatives,
     _ptm_loglik,
     _ptm_score,
     _wald_from_information,
@@ -103,15 +105,41 @@ class TestLoglik:
             assert loglik_zt(events(perm), m) == pytest.approx(base, abs=1e-10)
 
 
-def central_fd_gradient(fun, p, rel_step=1e-6):
-    g = np.empty(p.size)
+def central_differences(fun, p, rel_step=1e-6):
+    """Central differences of fun along each p[j], stacked on the last axis.
+
+    The gradient of a scalar function; the Jacobian [i, j] = d fun_i / d p_j
+    of a vector function.
+    """
+    cols = []
     for j in range(p.size):
         h = rel_step * max(1.0, abs(p[j]))
         pp, pm = p.copy(), p.copy()
         pp[j] += h
         pm[j] -= h
-        g[j] = (fun(pp) - fun(pm)) / (2.0 * h)
-    return g
+        cols.append((fun(pp) - fun(pm)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def random_problem(kind, seed):
+    rng = np.random.default_rng(200 + seed)
+    if kind is ModelKind.ZERO_TRUNCATED:
+        times = rng.weibull(1.3, 60) * 3.0 + 0.05
+        flags = np.ones(60)
+        p = np.array([rng.uniform(0.3, 4.0), rng.uniform(0.6, 3.0), rng.uniform(0.5, 6.0)])
+    else:
+        times = rng.weibull(1.3, 60) * 8.0 + 0.05
+        flags = (rng.random(60) < 0.6).astype(float)
+        flags[0] = 1.0
+        p = np.array([rng.uniform(0.2, 3.0), rng.uniform(0.6, 3.0), rng.uniform(2.0, 20.0)])
+    return times, flags, p
+
+
+def assert_hessian_matches_score_differences(kind, times, flags, p):
+    _, _, hess = _loglik_derivatives(kind, times, flags, p)
+    fd = central_differences(lambda q: _loglik_derivatives(kind, times, flags, q)[1], p)
+    np.testing.assert_array_equal(hess, hess.T)
+    np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestScores:
@@ -121,7 +149,7 @@ class TestScores:
         times = rng.weibull(1.3, 60) * 3.0 + 0.05
         p = np.array([rng.uniform(0.3, 4.0), rng.uniform(0.6, 3.0), rng.uniform(0.5, 6.0)])
         analytic = _zt_score(times, *p)
-        fd = central_fd_gradient(lambda q: _zt_loglik(times, *q), p)
+        fd = central_differences(lambda q: _zt_loglik(times, *q), p)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -132,8 +160,37 @@ class TestScores:
         flags[0] = 1
         p = np.array([rng.uniform(0.2, 3.0), rng.uniform(0.6, 3.0), rng.uniform(2.0, 20.0)])
         analytic = _ptm_score(times, flags, *p)
-        fd = central_fd_gradient(lambda q: _ptm_loglik(times, flags, *q), p)
+        fd = central_differences(lambda q: _ptm_loglik(times, flags, *q), p)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_hessian_matches_finite_differences(self, kind, seed):
+        assert_hessian_matches_score_differences(kind, *random_problem(kind, seed))
+
+    def test_zt_hessian_at_theta_one_half(self):
+        times, flags, _ = random_problem(ModelKind.ZERO_TRUNCATED, 0)
+        p = np.array([0.5, 1.4, 2.0])
+        assert_hessian_matches_score_differences(ModelKind.ZERO_TRUNCATED, times, flags, p)
+
+    def test_zt_theta_information_is_smooth_through_zero(self):
+        # -d2l/dtheta2 = n (1/theta^2 - e^-theta / (1 - e^-theta)^2), whose closed
+        # form cancels to nothing as theta -> 0; its limit is n/12
+        times, flags, _ = random_problem(ModelKind.ZERO_TRUNCATED, 1)
+        n = times.size
+        below = _SERIES_CUTOFF * (1.0 - 1e-9)
+        above = _SERIES_CUTOFF * (1.0 + 1e-9)
+        info = {}
+        for theta in (1e-11, below, above, 0.5):
+            _, _, hess = _loglik_derivatives(
+                ModelKind.ZERO_TRUNCATED, times, flags, (theta, 1.4, 2.0)
+            )
+            assert np.all(np.isfinite(hess))
+            info[theta] = -hess[0, 0]
+        assert info[1e-11] == pytest.approx(n / 12.0, rel=1e-12)
+        assert info[above] == pytest.approx(info[below], rel=1e-8)
+        assert info[below] == pytest.approx(n / 12.0, rel=1e-6)
+        assert 0.0 < info[0.5] < n / 12.0
 
 
 class TestFitMle:

@@ -90,6 +90,12 @@ class TestReadEventsCsv:
         with pytest.raises(CsvFormatError, match="line 2"):
             parse("time,event,cohort\n-3,1,a\n")
 
+    def test_non_finite_time_names_line(self):
+        with pytest.raises(CsvFormatError, match="line 3"):
+            parse("time,event,cohort\n1,1,a\ninf,1,a\n")
+        with pytest.raises(CsvFormatError, match="line 2"):
+            parse("time,event,cohort\nnan,0,a\n")
+
     def test_wrong_field_count_names_line(self):
         with pytest.raises(CsvFormatError, match="line 2"):
             parse("time,event,cohort\n1,1\n")

@@ -58,6 +58,15 @@ class TestLatentCountSampler:
         assert np.mean(draws) == pytest.approx(zt_poisson_mean(1.4644), abs=0.02)
         assert np.mean(draws) == pytest.approx(1.9048, abs=0.02)
 
+    @pytest.mark.parametrize("theta", [5000.0, 20000.0])
+    def test_truncated_mean_beyond_exp_overflow(self, theta):
+        # e^theta overflows a double for theta above about 709
+        rng = np.random.default_rng(4)
+        n = 2000
+        draws = [sample_latent_count(ModelKind.ZERO_TRUNCATED, theta, rng) for _ in range(n)]
+        se = math.sqrt(theta / n)  # the variance is theta to within e^-theta
+        assert abs(np.mean(draws) - zt_poisson_mean(theta)) < 4.0 * se
+
     def test_poisson_zero_fraction(self):
         rng = np.random.default_rng(3)
         theta = 3.0614
