@@ -19,7 +19,7 @@ from .distributions import (
     zt_poisson_mean,
     zt_poisson_pmf,
 )
-from .events import EventRecord, to_arrays
+from .events import EventRecord, EventTable, to_arrays
 from .inference import (
     FitOptions,
     FitResult,
@@ -62,6 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EventRecord",
+    "EventTable",
     "to_arrays",
     "WeibullParams",
     "LatentCountParams",

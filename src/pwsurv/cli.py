@@ -2,8 +2,10 @@
 
 Subcommands: ``fit`` (per-cohort maximum likelihood), ``simulate`` (draw a
 synthetic cohort), ``km`` (product-limit curves, optional model overlay),
-``report`` (fits plus the cross-cohort summary table). Exit codes: 0 on
-success, 1 on bad input or invalid options, 2 when a fit fails to converge.
+``report`` (fits plus the cross-cohort summary table). Each cohort is fit on
+its own; one that cannot be fit gets a FAILED entry and the others are still
+written. Exit codes: 0 on success, 1 on bad input, invalid options or a
+cohort that could not be fit, 2 when a fit fails to converge.
 """
 
 from __future__ import annotations
@@ -52,17 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit each cohort in an event CSV")
-    fit.add_argument("--input", required=True, help="event CSV (time,event,cohort)")
-    fit.add_argument(
-        "--model",
-        choices=["zt", "ptm", "auto"],
-        default="auto",
-        help="model for every cohort; auto picks zt for fully observed cohorts",
-    )
-    fit.add_argument("--horizon", type=float, default=24.0, help="reporting horizon")
     fit.add_argument("--format", choices=["text", "json"], default="text")
-    fit.add_argument("--max-iter", type=int, default=None, help="cap optimizer iterations")
-    fit.add_argument("--out", default=None, help="write output here instead of stdout")
 
     sim = sub.add_parser("simulate", help="draw a synthetic cohort and write it as CSV")
     sim.add_argument("--model", choices=["zt", "ptm"], required=True)
@@ -89,25 +81,19 @@ def _build_parser() -> argparse.ArgumentParser:
     km.add_argument("--overlay-scale", type=float, default=None)
 
     rep = sub.add_parser("report", help="per-cohort fits plus the summary table")
-    rep.add_argument("--input", required=True)
-    rep.add_argument(
-        "--model",
-        choices=["zt", "ptm", "auto"],
-        default="auto",
-        help="model for every cohort; auto picks zt for fully observed cohorts",
-    )
-    rep.add_argument("--horizon", type=float, default=24.0)
-    rep.add_argument("--max-iter", type=int, default=None)
-    rep.add_argument("--out", default=None)
+
+    for fitting in (fit, rep):
+        fitting.add_argument("--input", required=True, help="event CSV (time,event,cohort)")
+        fitting.add_argument(
+            "--model",
+            choices=["zt", "ptm", "auto"],
+            default="auto",
+            help="model for every cohort; auto picks zt for fully observed cohorts",
+        )
+        fitting.add_argument("--horizon", type=float, default=24.0, help="reporting horizon")
+        fitting.add_argument("--max-iter", type=int, default=None, help="cap optimizer iterations")
+        fitting.add_argument("--out", default=None, help="write output here instead of stdout")
     return parser
-
-
-def _fit_options(args) -> FitOptions:
-    if args.max_iter is None:
-        return FitOptions()
-    if args.max_iter < 0:
-        raise ValueError("--max-iter must be nonnegative")
-    return FitOptions(max_iterations=args.max_iter)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,25 +104,47 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text + "\n")
 
 
-def _cmd_fit(args) -> int:
+def _fit_cohorts(args) -> list:
+    """Read the input and fit each cohort: (dataset, fit or the error that stopped it)."""
     kind = None if args.model == "auto" else _KINDS[args.model]
     datasets = read_events_csv(args.input, kind=kind)
-    options = _fit_options(args)
-    blocks = []
-    reports = []
-    all_converged = True
+    if args.max_iter is not None and args.max_iter < 0:
+        raise ValueError("--max-iter must be nonnegative")
+    options = FitOptions() if args.max_iter is None else FitOptions(max_iterations=args.max_iter)
+    results = []
     for ds in datasets:
-        fit = fit_mle(ds.records, ds.kind, options)
-        all_converged = all_converged and fit.converged
-        if args.format == "json":
-            reports.append(fit_report_dict(ds.cohort, fit, args.horizon))
-        else:
-            blocks.append(format_fit_report(ds.cohort, fit, args.horizon))
+        try:
+            results.append((ds, fit_mle(ds.records, ds.kind, options)))
+        except (NoEventsError, SingularInformationError, ValueError) as exc:
+            results.append((ds, exc))
+    return results
+
+
+def _fit_block(ds, fit, horizon: float) -> str:
+    if isinstance(fit, Exception):
+        return f"cohort {ds.cohort} [{ds.kind.value}]\n  FAILED: {fit}"
+    return format_fit_report(ds.cohort, fit, horizon)
+
+
+def _exit_code(results) -> int:
+    if any(isinstance(fit, Exception) for _, fit in results):
+        return 1
+    return 0 if all(fit.converged for _, fit in results) else 2
+
+
+def _cmd_fit(args) -> int:
+    results = _fit_cohorts(args)
     if args.format == "json":
+        reports = [
+            {"cohort": ds.cohort, "model": ds.kind.value, "error": str(fit)}
+            if isinstance(fit, Exception)
+            else fit_report_dict(ds.cohort, fit, args.horizon)
+            for ds, fit in results
+        ]
         _emit(dumps_fit_reports(reports), args.out)
     else:
-        _emit("\n\n".join(blocks), args.out)
-    return 0 if all_converged else 2
+        _emit("\n\n".join(_fit_block(ds, fit, args.horizon) for ds, fit in results), args.out)
+    return _exit_code(results)
 
 
 def _cmd_simulate(args) -> int:
@@ -173,30 +181,26 @@ def _cmd_km(args) -> int:
             rows_by_cohort[ds.cohort] = [(float(t), float(s)) for t, s in zip(grid, km_vals)]
         else:
             rows_by_cohort[ds.cohort] = overlay_export(curve, model, grid)
-    if args.out is None:
-        write_overlay_csv(rows_by_cohort, sys.stdout, with_model=model is not None)
-        return 0
-    write_overlay_csv(rows_by_cohort, args.out, with_model=model is not None)
+    write_overlay_csv(rows_by_cohort, args.out or sys.stdout, with_model=model is not None)
     return 0
 
 
 def _cmd_report(args) -> int:
-    kind = None if args.model == "auto" else _KINDS[args.model]
-    datasets = read_events_csv(args.input, kind=kind)
-    options = _fit_options(args)
+    results = _fit_cohorts(args)
     fits = {}
     observed = {}
     blocks = []
-    for ds in datasets:
-        fit = fit_mle(ds.records, ds.kind, options)
+    for ds, fit in results:
+        blocks.append(_fit_block(ds, fit, args.horizon))
+        if isinstance(fit, Exception):
+            continue
         fits[ds.cohort] = fit
         if ds.kind is ModelKind.PROMOTION_TIME:
             observed[ds.cohort] = observed_unrecovered(ds.records, args.horizon)
-        blocks.append(format_fit_report(ds.cohort, fit, args.horizon))
     rows = build_summary_table(fits, args.horizon, observed)
     text = "\n\n".join(blocks) + "\n\n" + format_summary_table(rows)
     _emit(text, args.out)
-    return 0 if all(f.converged for f in fits.values()) else 2
+    return _exit_code(results)
 
 
 def main(argv=None) -> int:
@@ -210,10 +214,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CsvFormatError, NoEventsError, SingularInformationError, ValueError, OSError) as exc:
+    except (_UsageError, CsvFormatError, NoEventsError, SingularInformationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

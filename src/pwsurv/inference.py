@@ -16,12 +16,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import LatentCountParams, WeibullParams
-from .events import EventRecord, to_arrays
+from .events import EventRecord, EventTable, to_arrays
 from .models import ModelKind, ModelSpec
-from .nonparametric import KmCurve, kaplan_meier_arrays
+from .nonparametric import KmCurve, kaplan_meier
 
 __all__ = [
-    "EventRecord",
     "FitOptions",
     "FitResult",
     "NoEventsError",
@@ -268,7 +267,7 @@ def _ptm_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
 
 
 def _initial_params(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    curve = kaplan_meier_arrays(times, flags)
+    curve = kaplan_meier(EventTable(times, flags))
     if kind is ModelKind.ZERO_TRUNCATED:
         shape0, scale0 = _km_weibull_init(curve, times)
         theta0 = 1.0

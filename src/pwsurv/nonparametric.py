@@ -10,7 +10,7 @@ import numpy as np
 from .events import EventRecord, to_arrays
 from .models import ModelSpec, model_survival
 
-__all__ = ["KmCurve", "kaplan_meier", "kaplan_meier_arrays", "overlay_export"]
+__all__ = ["KmCurve", "kaplan_meier", "overlay_export"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +44,7 @@ def kaplan_meier(data: Iterable[EventRecord]) -> KmCurve:
     t_i. A censored subject leaves the risk set after its time, so a censoring
     tied with an event at the same time still counts as at risk there.
     """
-    return kaplan_meier_arrays(*to_arrays(data))
-
-
-def kaplan_meier_arrays(times: np.ndarray, flags: np.ndarray) -> KmCurve:
-    """kaplan_meier on a float time array and its 0/1 event-flag array."""
+    times, flags = to_arrays(data)
     if times.size == 0:
         raise ValueError("kaplan_meier requires a nonempty dataset")
 

@@ -13,12 +13,14 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .distributions import zt_poisson_mean
-from .events import EventRecord
+from .events import EventRecord, EventTable
 from .inference import FitResult, wald_summary
 from .models import ModelKind, cure_fraction, elgd_at_horizon
 from .nonparametric import kaplan_meier
@@ -34,6 +36,7 @@ __all__ = [
     "format_summary_table",
     "format_fit_report",
     "fit_report_dict",
+    "dumps_fit_reports",
     "write_overlay_csv",
 ]
 
@@ -49,7 +52,7 @@ class CohortDataset:
     """One cohort's records plus the model kind chosen for fitting."""
 
     cohort: str
-    records: list[EventRecord]
+    records: EventTable
     kind: ModelKind
 
 
@@ -79,7 +82,8 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
             raise CsvFormatError(
                 f"line 1: missing or invalid header, expected {','.join(_HEADER)}"
             )
-        grouped: dict[str, list[EventRecord]] = {}
+        # per cohort, a compact time column and a 0/1 flag column
+        columns: dict[str, tuple[array, array]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -96,22 +100,26 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
                 raise CsvFormatError(
                     f"line {lineno}: time must be a positive finite number, got {raw_time}"
                 )
-            if raw_event.strip() not in ("0", "1"):
+            flag = raw_event.strip()
+            if flag not in ("0", "1"):
                 raise CsvFormatError(
                     f"line {lineno}: event flag must be 0 or 1, got {raw_event!r}"
                 )
-            grouped.setdefault(cohort, []).append(
-                EventRecord(time=time, event=int(raw_event), cohort=cohort)
-            )
+            if cohort not in columns:
+                columns[cohort] = (array("d"), array("b"))
+            times, flags = columns[cohort]
+            times.append(time)
+            flags.append(flag == "1")
     finally:
         if owned:
             stream.close()
 
     datasets = []
-    for cohort, records in grouped.items():
+    for cohort, (times, flags) in columns.items():
+        records = EventTable(times, flags, cohort)
         if kind is not None:
             chosen = kind
-        elif all(r.event == 1 for r in records):
+        elif records.flags.all():
             chosen = ModelKind.ZERO_TRUNCATED
         else:
             chosen = ModelKind.PROMOTION_TIME
@@ -120,15 +128,21 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
 
 
 def write_events_csv(records: Iterable[EventRecord], dest) -> None:
-    """Write records in the input CSV schema; times keep 17 significant digits."""
+    """Write records in the input CSV schema; times keep 17 significant digits.
+
+    A table is written from its columns, byte for byte as its records would be.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             write_events_csv(records, handle)
         return
     writer = csv.writer(dest)
     writer.writerow(_HEADER)
-    for r in records:
-        writer.writerow([f"{r.time:.17g}", r.event, r.cohort])
+    if isinstance(records, EventTable):
+        times = map("{:.17g}".format, records.times.tolist())
+        writer.writerows(zip(times, records.flags.tolist(), repeat(records.cohort)))
+    else:
+        writer.writerows((f"{r.time:.17g}", r.event, r.cohort) for r in records)
 
 
 @dataclass(frozen=True)

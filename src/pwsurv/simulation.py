@@ -1,29 +1,24 @@
 """Generative sampling of the latent-competing-risk mechanisms.
 
-Each subject draws a latent cause count M, then M independent Weibull times;
-the observed time is their minimum, censored at the horizon. Every subject
-gets its own random stream derived from (seed, subject index), so a cohort is
-reproducible bit for bit regardless of iteration order or parallel
-partitioning.
+Each subject draws a latent cause count M and an Exp(1) variate E; the
+observed time is the minimum of M independent Weibull times, which is
+T = scale * (E / M)^(1/shape), censored at the horizon. A cohort draws whole
+columns: the uniforms, the Poisson counts and the exponentials each come
+from their own stream spawned from the seed and are read in subject order,
+so subject i's record depends only on (seed, i), whatever the cohort size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .events import EventRecord
+from .events import EventTable
 from .models import ModelKind, ModelSpec
 
 __all__ = ["SimConfig", "sample_latent_count", "simulate_cohort"]
-
-_TINY = np.finfo(float).tiny
-
-# Largest theta sampled from the zero-truncated inverse-CDF table.
-_ZT_TABLE_MAX_THETA = 700.0
 
 
 @dataclass(frozen=True)
@@ -52,23 +47,19 @@ class SimConfig:
             )
 
 
-@lru_cache(maxsize=128)
-def _zt_cdf_table(theta: float) -> np.ndarray:
-    """Cumulative zero-truncated Poisson masses for counts 1, 2, ... .
+def _latent_count(kind: ModelKind, theta: float, u, counts: np.random.Generator):
+    """M for a uniform u (a float, or an array of one per subject) and a Poisson stream.
 
-    Extended until the accumulated mass reaches 1 - 1e-12; inverse-CDF lookup
-    on this table samples the truncated distribution without rejection.
+    Promotion-time M is Poisson(theta) and ignores u. Zero-truncated M counts
+    the arrivals of a rate-theta Poisson process on [0, 1] given that one
+    arrives: the first arrival is T1 = -log1p(-u (1 - e^-theta)) / theta by
+    inverse CDF, and the rest are Poisson(theta (1 - T1)). This is exact at
+    every theta and never forms e^theta.
     """
-    pmf = theta / np.expm1(theta)
-    masses = [pmf]
-    total = pmf
-    m = 1
-    while total < 1.0 - 1e-12 and m < 10_000:
-        m += 1
-        pmf *= theta / m
-        masses.append(pmf)
-        total += pmf
-    return np.cumsum(masses)
+    if kind is ModelKind.PROMOTION_TIME:
+        return counts.poisson(theta, np.shape(u))
+    first = -np.log1p(u * math.expm1(-theta)) / theta
+    return 1 + counts.poisson(theta * (1.0 - first))
 
 
 def sample_latent_count(kind: ModelKind, theta: float, rng: np.random.Generator) -> int:
@@ -76,49 +67,26 @@ def sample_latent_count(kind: ModelKind, theta: float, rng: np.random.Generator)
 
     Poisson(theta) for the promotion-time kind (M = 0 means cured);
     zero-truncated Poisson for the zero-truncated kind, so the draw is
-    always >= 1: by inverse CDF up to theta = 700, and above that by
-    redrawing Poisson(theta) until it is nonzero.
+    always >= 1.
     """
-    if not (np.isfinite(theta) and theta > 0.0):
+    if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be a positive finite number, got {theta!r}")
-    if kind is ModelKind.PROMOTION_TIME:
-        return int(rng.poisson(theta))
-    if theta > _ZT_TABLE_MAX_THETA:
-        # The table's first mass theta / (e^theta - 1) overflows here; redraw
-        # the Poisson zero instead, which has probability e^-theta.
-        m = 0
-        while m == 0:
-            m = int(rng.poisson(theta))
-        return m
-    table = _zt_cdf_table(theta)
-    return int(np.searchsorted(table, rng.random(), side="right")) + 1
+    return int(_latent_count(kind, theta, rng.random(), rng))
 
 
-def _subject_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-
-
-def simulate_cohort(cfg: SimConfig, cohort: str = "sim") -> list[EventRecord]:
+def simulate_cohort(cfg: SimConfig, cohort: str = "sim") -> EventTable:
     """Simulate one cohort of loan event records under cfg.model.
 
-    Per subject: draw M; a promotion-time subject with M = 0 is cured and
-    recorded censored at the horizon; otherwise the observed time is the
-    minimum of M Weibull draws T = scale * (-log U)^(1/shape), censored at the
-    horizon. Identical seeds reproduce identical records.
+    A promotion-time subject with M = 0 is cured: T is infinite and the
+    record is censored at the horizon, as is every T beyond it. Identical
+    seeds reproduce identical tables.
     """
     theta, shape, scale = cfg.model.params()
-    records = []
-    for i in range(cfg.n):
-        rng = _subject_rng(cfg.seed, i)
-        m = sample_latent_count(cfg.model.kind, theta, rng)
-        if m == 0:
-            records.append(EventRecord(time=cfg.horizon, event=0, cohort=cohort))
-            continue
-        u = np.maximum(rng.random(m), _TINY)
-        # min of the transformed draws equals the transform of the min exponent
-        y = scale * float(np.min(-np.log(u))) ** (1.0 / shape)
-        if y > cfg.horizon:
-            records.append(EventRecord(time=cfg.horizon, event=0, cohort=cohort))
-        else:
-            records.append(EventRecord(time=y, event=1, cohort=cohort))
-    return records
+    uniforms, counts, exponentials = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    m = _latent_count(cfg.model.kind, theta, uniforms.random(cfg.n), counts)
+    with np.errstate(divide="ignore"):
+        times = scale * (exponentials.standard_exponential(cfg.n) / m) ** (1.0 / shape)
+    observed = times <= cfg.horizon
+    return EventTable(np.where(observed, times, cfg.horizon), observed, cohort)

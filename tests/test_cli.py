@@ -170,6 +170,41 @@ class TestReport:
         assert main(["report", "--input", str(sim_csv), "--max-iter", "1"]) == 2
 
 
+class TestCohortFailure:
+    @pytest.fixture()
+    def mixed_csv(self, tmp_path):
+        # a 300-record recovery cohort and a 20-record cohort with no events
+        out = tmp_path / "mixed.csv"
+        code = main([
+            "simulate", "--model", "ptm", "--theta", "0.8", "--shape", "1.2",
+            "--scale", "10.0", "--n", "300", "--horizon", "24", "--seed", "3",
+            "--cohort", "good", "--out", str(out),
+        ])
+        assert code == 0
+        out.write_text(out.read_text() + "24,0,bad\n" * 20)
+        return out
+
+    def test_fit_text_keeps_good_cohort(self, mixed_csv, capsys):
+        assert main(["fit", "--input", str(mixed_csv)]) == 1
+        out = capsys.readouterr().out
+        assert "cohort good [ptm]" in out and "log-likelihood" in out
+        assert "cohort bad [ptm]\n  FAILED: no events in the dataset" in out
+
+    def test_fit_json_has_error_entry(self, mixed_csv, capsys):
+        assert main(["fit", "--input", str(mixed_csv), "--format", "json"]) == 1
+        fits = {f["cohort"]: f for f in json.loads(capsys.readouterr().out)["fits"]}
+        assert fits["good"]["converged"] is True
+        assert set(fits["bad"]) == {"cohort", "model", "error"}
+        assert fits["bad"]["model"] == "ptm"
+        assert "no events" in fits["bad"]["error"]
+
+    def test_report_keeps_good_cohort(self, mixed_csv, capsys):
+        assert main(["report", "--input", str(mixed_csv)]) == 1
+        out = capsys.readouterr().out
+        assert "cohort bad [ptm]\n  FAILED:" in out
+        assert any(line.startswith("good ") for line in out.splitlines())
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1

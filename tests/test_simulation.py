@@ -85,9 +85,17 @@ class TestSimulateCohort:
         cfg = SimConfig(model=m, n=1, horizon=math.inf, seed=7)
         assert simulate_cohort(cfg) == simulate_cohort(cfg)
 
-    def test_per_subject_streams_are_prefix_stable(self):
+    @pytest.mark.parametrize(
+        "m",
+        [
+            ModelSpec.promotion_time(0.8, 1.2, 10.0),
+            ModelSpec.zero_truncated(2.0, 1.2, 10.0),
+            ModelSpec.zero_truncated(5000.0, 1.2, 10.0),
+        ],
+        ids=["ptm", "zt-theta-2", "zt-theta-5000"],
+    )
+    def test_per_subject_streams_are_prefix_stable(self, m):
         # subject i's record depends only on (seed, i), not on cohort size
-        m = ModelSpec.promotion_time(0.8, 1.2, 10.0)
         small = simulate_cohort(SimConfig(model=m, n=20, horizon=24.0, seed=11))
         large = simulate_cohort(SimConfig(model=m, n=500, horizon=24.0, seed=11))
         assert large[:20] == small
