@@ -178,7 +178,7 @@ def _cmd_km(args) -> int:
         grid = np.concatenate(([0.0], curve.times))
         if model is None:
             km_vals = curve.survival_at(grid)
-            rows_by_cohort[ds.cohort] = [(float(t), float(s)) for t, s in zip(grid, km_vals)]
+            rows_by_cohort[ds.cohort] = list(zip(grid.tolist(), km_vals.tolist()))
         else:
             rows_by_cohort[ds.cohort] = overlay_export(curve, model, grid)
     write_overlay_csv(rows_by_cohort, args.out or sys.stdout, with_model=model is not None)

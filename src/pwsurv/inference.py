@@ -91,6 +91,9 @@ class FitResult:
 #   l = sum d log f + theta sum S + D log(theta) - n c(theta)
 #   log f = log(shape) - log(scale) + (shape - 1) L - w
 #
+# Each sum runs over the distinct (time, flag) pairs, weighted by the number
+# of records holding the pair, so tied records cost one term.
+#
 # The promotion-time kind has c(theta) = theta; the zero-truncated kind has
 # c(theta) = log(e^theta - 1) and d = 1, so its theta-only terms equal
 # -n log exprel(theta) with exprel(x) = (e^x - 1)/x, smooth through 0.
@@ -100,13 +103,42 @@ class FitResult:
 _SERIES_CUTOFF = 1e-3
 
 
+def _collapse(times: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (time, flag) pairs and the number of records holding each.
+
+    The pairs keep the order of their first record, so on data without ties
+    the kernel's sums add the same terms in the same order as over the records.
+    """
+    # times are positive, so a signed time (negative when censored) is one
+    # sort key that keeps the two flags of a time apart
+    key = np.where(flags == 1, times, -times)
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, key.size)).astype(float)
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    first = first[by_first]
+    return times[first], flags[first], counts[by_first]
+
+
 def _loglik_derivatives(
-    kind: ModelKind, times: np.ndarray, flags: np.ndarray, params: Sequence[float]
+    kind: ModelKind,
+    times: np.ndarray,
+    flags: np.ndarray,
+    counts: np.ndarray,
+    params: Sequence[float],
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, score and Hessian in params = (theta, shape, scale), in one pass."""
+    """Log-likelihood, score and Hessian in params = (theta, shape, scale), in one pass.
+
+    Record i stands for counts[i] records with the same time and flag.
+    """
     theta, shape, scale = params
-    n = times.size
-    n_events = float(np.sum(flags))
+    events = counts * flags  # the event-weighted counts
+    n = float(np.sum(counts))
+    n_events = float(np.sum(events))
     # c0, c1, c2: the theta-only terms D log(theta) - n c(theta) and their
     # first two theta derivatives
     if kind is ModelKind.PROMOTION_TIME:
@@ -129,12 +161,12 @@ def _loglik_derivatives(
     q = surv * w  # -dS/dw
     r = q * (1.0 - w)  # d(S w)/dw
     rl = r * logz
-    dw = flags * w
+    dw = events * w
     dwl = dw * logz
-    s0 = np.sum(surv)
-    q0, q1 = np.sum(q), np.sum(q * logz)
-    r0, r1, r2 = np.sum(r), np.sum(rl), np.sum(rl * logz)
-    dl = np.sum(flags * logz)
+    s0 = np.sum(counts * surv)
+    q0, q1 = np.sum(counts * q), np.sum(counts * (q * logz))
+    r0, r1, r2 = np.sum(counts * r), np.sum(counts * rl), np.sum(counts * (rl * logz))
+    dl = np.sum(events * logz)
     e0, e1, e2 = np.sum(dw), np.sum(dwl), np.sum(dwl * logz)
     ratio = shape / scale
 
@@ -156,25 +188,27 @@ def _loglik_derivatives(
 
 
 def _zt_loglik(times: np.ndarray, theta: float, shape: float, scale: float) -> float:
-    ones = np.ones(times.size)
-    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, times, ones, (theta, shape, scale))[0]
+    pairs = _collapse(times, np.ones(times.size))
+    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, (theta, shape, scale))[0]
 
 
 def _zt_score(times: np.ndarray, theta: float, shape: float, scale: float) -> np.ndarray:
-    ones = np.ones(times.size)
-    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, times, ones, (theta, shape, scale))[1]
+    pairs = _collapse(times, np.ones(times.size))
+    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, (theta, shape, scale))[1]
 
 
 def _ptm_loglik(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> float:
-    return _loglik_derivatives(ModelKind.PROMOTION_TIME, times, flags, (theta, shape, scale))[0]
+    pairs = _collapse(times, flags)
+    return _loglik_derivatives(ModelKind.PROMOTION_TIME, *pairs, (theta, shape, scale))[0]
 
 
 def _ptm_score(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> np.ndarray:
-    return _loglik_derivatives(ModelKind.PROMOTION_TIME, times, flags, (theta, shape, scale))[1]
+    pairs = _collapse(times, flags)
+    return _loglik_derivatives(ModelKind.PROMOTION_TIME, *pairs, (theta, shape, scale))[1]
 
 
 def _validate(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> None:
@@ -304,14 +338,12 @@ def _ascent_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g / float(np.max(np.abs(g)))
 
 
-def _newton_maximize(
-    kind: ModelKind, times: np.ndarray, flags: np.ndarray, p: np.ndarray, opts: FitOptions
-):
-    """Maximize the log-likelihood over u = log p, starting from p.
+def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, opts: FitOptions):
+    """Maximize the log-likelihood of the collapsed pairs over u = log p, starting from p.
 
     Returns (p, loglik, Hessian in p, trace, converged, iterations, gradient norm).
     """
-    ll, g, hess = _loglik_derivatives(kind, times, flags, p)
+    ll, g, hess = _loglik_derivatives(kind, *pairs, p)
     if not np.isfinite(ll):
         raise ValueError("log-likelihood is not finite at the starting point")
     trace = [ll]
@@ -338,7 +370,7 @@ def _newton_maximize(
         for _ in range(_MAX_HALVINGS):
             u_try = u + alpha * direction
             p_try = np.exp(u_try)
-            ll_try, g_try, hess_try = _loglik_derivatives(kind, times, flags, p_try)
+            ll_try, g_try, hess_try = _loglik_derivatives(kind, *pairs, p_try)
             if np.isfinite(ll_try) and (
                 ll_try >= ll or (alpha * slope <= noise and ll_try >= ll - noise)
             ):
@@ -428,7 +460,7 @@ def fit_mle(
 
     with np.errstate(all="ignore"):
         estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(
-            kind, times, flags, start, opts
+            kind, _collapse(times, flags), start, opts
         )
 
     spec = ModelSpec(kind, LatentCountParams(estimates[0]), WeibullParams(estimates[1], estimates[2]))

@@ -70,4 +70,4 @@ def overlay_export(
         raise ValueError("grid must be sorted ascending and nonnegative")
     km = np.atleast_1d(curve.survival_at(arr))
     model = np.atleast_1d(model_survival(arr, m))
-    return [(float(t), float(k), float(s)) for t, k, s in zip(arr, km, model)]
+    return list(zip(arr.tolist(), km.tolist(), model.tolist()))

@@ -1,10 +1,11 @@
 """Dataset ingestion, per-cohort fit orchestration, and table formatting.
 
-Input CSV schema: header ``time,event,cohort``; time a positive finite
-decimal in the user's time unit, event 0 or 1, cohort an opaque label. Output
-tables mirror the two report formats: per-parameter Wald summaries and the
-cross-cohort metric summary (latent default intensity, recovery intensity,
-observed and model LGD at the horizon).
+Input CSV schema: header ``time,event,cohort``, then one record per line;
+time a positive finite decimal in the user's time unit, event 0 or 1, cohort
+an opaque label without line breaks. Output tables mirror the two report
+formats: per-parameter Wald summaries and the cross-cohort metric summary
+(latent default intensity, recovery intensity, observed and model LGD at the
+horizon).
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, starmap
 from pathlib import Path
 from typing import IO, Iterable, Mapping
+
+import numpy as np
 
 from .distributions import zt_poisson_mean
 from .events import EventRecord, EventTable
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 _HEADER = ["time", "event", "cohort"]
+
+# Lines read and parsed at a time, which bounds the reader's memory.
+_CHUNK_LINES = 16_384
 
 
 class CsvFormatError(ValueError):
@@ -72,50 +78,40 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
     ``source`` may be a path or an open text/byte stream. When ``kind`` is
     None the model kind is inferred per cohort: fully observed cohorts get
     the zero-truncated model, cohorts with censoring the promotion-time
-    model. Malformed input raises CsvFormatError naming the line.
+    model. Each record must fit on one physical line. Malformed input raises
+    CsvFormatError naming the line.
     """
     stream, owned = _open_text(source)
     try:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _HEADER:
+        try:
+            header = next(csv.reader([stream.readline()]))
+        except csv.Error as exc:
+            raise CsvFormatError(f"line 1: {exc}") from None
+        if [h.strip() for h in header] != _HEADER:
             raise CsvFormatError(
                 f"line 1: missing or invalid header, expected {','.join(_HEADER)}"
             )
-        # per cohort, a compact time column and a 0/1 flag column
-        columns: dict[str, tuple[array, array]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            raw_time, raw_event, cohort = row
-            try:
-                time = float(raw_time)
-            except ValueError:
-                raise CsvFormatError(
-                    f"line {lineno}: non-numeric time {raw_time!r}"
-                ) from None
-            if not (math.isfinite(time) and time > 0.0):
-                raise CsvFormatError(
-                    f"line {lineno}: time must be a positive finite number, got {raw_time}"
-                )
-            flag = raw_event.strip()
-            if flag not in ("0", "1"):
-                raise CsvFormatError(
-                    f"line {lineno}: event flag must be 0 or 1, got {raw_event!r}"
-                )
-            if cohort not in columns:
-                columns[cohort] = (array("d"), array("b"))
-            times, flags = columns[cohort]
-            times.append(time)
-            flags.append(flag == "1")
+        labels: dict[str, int] = {}
+        # per cohort code, (times, flags) pieces in file order
+        pieces: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        first = 2
+        while lines := list(islice(stream, _CHUNK_LINES)):
+            times, flags, codes = _parse_chunk(lines, first, labels)
+            first += len(lines)
+            del lines  # hold one chunk of lines at a time
+            # blank lines (code -1) fall in bin 0 of the shifted count
+            order = np.argsort(codes, kind="stable")
+            ends = np.cumsum(np.bincount(codes + 1, minlength=len(labels) + 1))
+            for code in np.flatnonzero(np.diff(ends)).tolist():
+                rows = order[ends[code]:ends[code + 1]]
+                pieces.setdefault(code, []).append((times[rows], flags[rows]))
     finally:
         if owned:
             stream.close()
 
     datasets = []
-    for cohort, (times, flags) in columns.items():
+    for code, cohort in enumerate(labels):
+        times, flags = (np.concatenate(column) for column in zip(*pieces.pop(code)))
         records = EventTable(times, flags, cohort)
         if kind is not None:
             chosen = kind
@@ -127,22 +123,102 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
     return datasets
 
 
+def _parse_chunk(
+    lines: list[str], first: int, labels: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time, flag and cohort-code columns of a chunk of lines, one entry per line.
+
+    ``first`` is the line number of lines[0]. Each distinct line is parsed
+    once; a blank line gets code -1 and a new cohort label the next code in
+    ``labels``.
+    """
+
+    def error(line: str, message: str) -> CsvFormatError:
+        # a line's first occurrence is the first row of the chunk to fail
+        return CsvFormatError(f"line {first + lines.index(line)}: {message}")
+
+    distinct = list(dict.fromkeys(lines))
+    times, flags, codes = array("d"), array("b"), array("i")
+    reader = csv.reader(distinct)
+    try:
+        for line, row in zip(distinct, reader):
+            # only an open quote carries a field past the end of its line
+            if '"' in line and (
+                reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
+            ):
+                raise error(line, "a quoted field spans lines; each record must fit on one line")
+            if not row:
+                times.append(1.0)
+                flags.append(0)
+                codes.append(-1)
+                continue
+            if len(row) != 3:
+                raise error(line, f"expected 3 fields, got {len(row)}")
+            raw_time, raw_event, cohort = row
+            try:
+                time = float(raw_time)
+            except ValueError:
+                raise error(line, f"non-numeric time {raw_time!r}") from None
+            if not (math.isfinite(time) and time > 0.0):
+                raise error(line, f"time must be a positive finite number, got {raw_time}")
+            flag = raw_event.strip()
+            if flag not in ("0", "1"):
+                raise error(line, f"event flag must be 0 or 1, got {raw_event!r}")
+            times.append(time)
+            flags.append(flag == "1")
+            codes.append(labels.setdefault(cohort, len(labels)))
+    except csv.Error as exc:
+        raise error(distinct[reader.line_num - 1], str(exc)) from None
+
+    columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
+    if len(distinct) == len(lines):
+        return columns
+    # each line takes the entries of its distinct line
+    index = dict(zip(distinct, range(len(distinct))))
+    rows = np.fromiter(map(index.__getitem__, lines), dtype=np.intp, count=len(lines))
+    return tuple(column[rows] for column in columns)
+
+
+def _quoted(label: str) -> str:
+    """A cohort label as csv.writer quotes it, with braces escaped for str.format.
+
+    Raises ValueError for a label with a line break, which could not be read
+    back: every record sits on one line.
+    """
+    if "\n" in label or "\r" in label:
+        raise ValueError(f"cohort label {label!r} contains a line break")
+    buf = io.StringIO()
+    csv.writer(buf).writerow([label, ""])
+    return buf.getvalue()[: -len(",\r\n")].replace("{", "{{").replace("}", "}}")
+
+
+def _event_format(label: str) -> str:
+    """Format string of one event row, time and flag, as csv.writer writes it."""
+    return "{:.17g},{}," + _quoted(label) + "\r\n"
+
+
 def write_events_csv(records: Iterable[EventRecord], dest) -> None:
     """Write records in the input CSV schema; times keep 17 significant digits.
 
-    A table is written from its columns, byte for byte as its records would be.
+    Rows end in CRLF, as csv.writer writes them. A cohort label may not
+    contain a line break (ValueError).
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             write_events_csv(records, handle)
         return
-    writer = csv.writer(dest)
-    writer.writerow(_HEADER)
     if isinstance(records, EventTable):
-        times = map("{:.17g}".format, records.times.tolist())
-        writer.writerows(zip(times, records.flags.tolist(), repeat(records.cohort)))
+        fmt = _event_format(records.cohort)
+        dest.write(",".join(_HEADER) + "\r\n")
+        for start in range(0, len(records), _CHUNK_LINES):
+            chunk = slice(start, start + _CHUNK_LINES)
+            times, flags = records.times[chunk].tolist(), records.flags[chunk].tolist()
+            dest.write("".join(map(fmt.format, times, flags)))
     else:
-        writer.writerows((f"{r.time:.17g}", r.event, r.cohort) for r in records)
+        records = list(records)
+        fmts = {label: _event_format(label) for label in {r.cohort for r in records}}
+        dest.write(",".join(_HEADER) + "\r\n")
+        dest.writelines(fmts[r.cohort].format(r.time, int(r.event)) for r in records)
 
 
 @dataclass(frozen=True)
@@ -301,8 +377,9 @@ def write_overlay_csv(rows_by_cohort: Mapping[str, list[tuple[float, float, floa
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             write_overlay_csv(rows_by_cohort, handle, with_model)
         return
-    writer = csv.writer(dest)
-    writer.writerow(["cohort", "t", "km", "model"] if with_model else ["cohort", "t", "km"])
+    header = ["cohort", "t", "km", "model"] if with_model else ["cohort", "t", "km"]
+    dest.write(",".join(header) + "\r\n")
+    values = ",{:.17g}" * (len(header) - 1) + "\r\n"
     for cohort in sorted(rows_by_cohort):
-        for row in rows_by_cohort[cohort]:
-            writer.writerow([cohort] + [f"{v:.17g}" for v in row])
+        fmt = _quoted(cohort) + values
+        dest.write("".join(starmap(fmt.format, rows_by_cohort[cohort])))

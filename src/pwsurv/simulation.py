@@ -88,5 +88,8 @@ def simulate_cohort(cfg: SimConfig, cohort: str = "sim") -> EventTable:
     m = _latent_count(cfg.model.kind, theta, uniforms.random(cfg.n), counts)
     with np.errstate(divide="ignore"):
         times = scale * (exponentials.standard_exponential(cfg.n) / m) ** (1.0 / shape)
+    # A small shape can take a time below the least positive double, where it
+    # underflows to 0.0; such a time becomes that double, the nearest valid one.
+    times = np.maximum(times, np.nextafter(0.0, 1.0))
     observed = times <= cfg.horizon
     return EventTable(np.where(observed, times, cfg.horizon), observed, cohort)

@@ -56,6 +56,17 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_small_shape_times_stay_positive(self, tmp_path):
+        # scale * (E/M)^(1/shape) underflows to 0.0 for some subjects at shape 0.01
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--model", "zt", "--theta", "1", "--shape", "0.01",
+                     "--scale", "1", "--n", "10000", "--horizon", "inf", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as handle:
+            times = [float(row[0]) for row in list(csv.reader(handle))[1:]]
+        assert len(times) == 10000
+        assert min(times) > 0.0
+
     def test_ptm_infinite_horizon_exit_1(self, tmp_path, capsys):
         code = main(["simulate", "--model", "ptm", "--theta", "1", "--shape", "1",
                      "--scale", "1", "--n", "10", "--horizon", "inf", "--seed", "0",
@@ -100,6 +111,13 @@ class TestFit:
         bad.write_text("time,event,cohort\n1.0,7,a\n")
         assert main(["fit", "--input", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_oversized_field_exit_1(self, tmp_path, capsys):
+        # beyond the csv module's field size limit of 131072 characters
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,event,cohort\n1.0,1," + "x" * 200_000 + "\n")
+        assert main(["fit", "--input", str(bad)]) == 1
+        assert "error: line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_unknown_flag_value_exit_1(self, sim_csv, capsys):
         assert main(["fit", "--input", str(sim_csv), "--model", "bogus"]) == 1

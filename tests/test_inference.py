@@ -27,6 +27,7 @@ from pwsurv.inference import (
     _SERIES_CUTOFF,
     PARAM_NAMES,
     Z_95,
+    _collapse,
     _loglik_derivatives,
     _ptm_loglik,
     _ptm_score,
@@ -136,8 +137,9 @@ def random_problem(kind, seed):
 
 
 def assert_hessian_matches_score_differences(kind, times, flags, p):
-    _, _, hess = _loglik_derivatives(kind, times, flags, p)
-    fd = central_differences(lambda q: _loglik_derivatives(kind, times, flags, q)[1], p)
+    pairs = _collapse(times, flags)
+    _, _, hess = _loglik_derivatives(kind, *pairs, p)
+    fd = central_differences(lambda q: _loglik_derivatives(kind, *pairs, q)[1], p)
     np.testing.assert_array_equal(hess, hess.T)
     np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6)
 
@@ -183,7 +185,7 @@ class TestScores:
         info = {}
         for theta in (1e-11, below, above, 0.5):
             _, _, hess = _loglik_derivatives(
-                ModelKind.ZERO_TRUNCATED, times, flags, (theta, 1.4, 2.0)
+                ModelKind.ZERO_TRUNCATED, *_collapse(times, flags), (theta, 1.4, 2.0)
             )
             assert np.all(np.isfinite(hess))
             info[theta] = -hess[0, 0]
@@ -191,6 +193,37 @@ class TestScores:
         assert info[above] == pytest.approx(info[below], rel=1e-8)
         assert info[below] == pytest.approx(n / 12.0, rel=1e-6)
         assert 0.0 < info[0.5] < n / 12.0
+
+
+class TestCollapsedPairs:
+    @staticmethod
+    def monthly(kind, seed=3):
+        # whole months, with censorings tied to each other and to event times
+        rng = np.random.default_rng(seed)
+        times = np.ceil(rng.weibull(1.2, 600) * 10.0)
+        if kind is ModelKind.ZERO_TRUNCATED:
+            return times, np.ones(times.size, dtype=np.int64)
+        flags = (rng.random(times.size) < 0.6).astype(np.int64)
+        times[flags == 0] = rng.choice([6.0, 12.0, 24.0], size=int(np.sum(flags == 0)))
+        return times, flags
+
+    def test_pairs_count_records_in_first_appearance_order(self):
+        times, flags = self.monthly(ModelKind.PROMOTION_TIME)
+        t, d, counts = _collapse(times, flags)
+        pairs = list(zip(times.tolist(), flags.tolist()))
+        assert list(zip(t.tolist(), d.tolist())) == list(dict.fromkeys(pairs))
+        assert counts.tolist() == [pairs.count(p) for p in zip(t.tolist(), d.tolist())]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_weighted_kernel_matches_expanded_records(self, kind):
+        times, flags = self.monthly(kind)
+        pairs = _collapse(times, flags)
+        assert pairs[0].size < times.size / 10
+        p = (0.9, 1.3, 8.0)
+        collapsed = _loglik_derivatives(kind, *pairs, p)
+        expanded = _loglik_derivatives(kind, times, flags, np.ones(times.size), p)
+        for a, b in zip(collapsed, expanded):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 class TestFitMle:

@@ -1,15 +1,20 @@
 """CSV ingestion, summary assembly, and the two table renderings."""
 
+import csv
 import io
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwsurv import (
     CsvFormatError,
     EventRecord,
+    EventTable,
     FitResult,
     ModelKind,
     ModelSpec,
@@ -22,9 +27,21 @@ from pwsurv import (
     simulate_cohort,
     write_events_csv,
 )
+from pwsurv import report
 from pwsurv.report import dumps_fit_reports, fit_report_dict, write_overlay_csv
 
 from cohorts import recovery_spec
+
+
+# cohort labels that need quoting or would break a format string
+LABELS = ["2008", "a,b", 'say "x"', '"', "", "{0}", "}{", " pad "]
+
+
+def csv_text(rows, quoting=csv.QUOTE_MINIMAL):
+    """Rows as csv.writer writes them."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=quoting).writerows(rows)
+    return buf.getvalue()
 
 
 def parse(text, kind=None):
@@ -104,6 +121,25 @@ class TestReadEventsCsv:
         out = parse("time,event,cohort\n1,1,a\n\n2,1,a\n")
         assert len(out[0].records) == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a quoted label closed on the next line
+            ('time,event,cohort\n1,1,a\n2,1,"b\nc"\n3,1,a\n', 3),
+            ('time,event,cohort\r\n1,1,"a\r\nb"\r\n', 2),
+            # an open quote at the last distinct line, whose next line repeats an earlier one
+            ('time,event,cohort\n2,1,b\n1,1,"a\n2,1,b\n', 3),
+        ],
+    )
+    def test_record_spanning_lines_names_line(self, text, line):
+        with pytest.raises(CsvFormatError, match=f"line {line}: a quoted field spans lines"):
+            parse(text)
+
+    def test_oversized_field_names_line(self):
+        text = "time,event,cohort\n1,1,a\n2,1," + "x" * 200_000 + "\n"
+        with pytest.raises(CsvFormatError, match="line 3: field larger than field limit"):
+            parse(text)
+
     def test_reads_from_path(self, tmp_path):
         p = tmp_path / "events.csv"
         p.write_text("time,event,cohort\n1.5,1,a\n")
@@ -132,6 +168,46 @@ class TestCsvRoundTrip:
         write_events_csv(recs, buf)
         back = read_events_csv(io.StringIO(buf.getvalue()))
         assert back[0].records == recs
+
+    def test_bool_event_flags_survive(self):
+        recs = [EventRecord(1.0, True, "a"), EventRecord(2.0, False, "a")]
+        buf = io.StringIO()
+        write_events_csv(recs, buf)
+        assert buf.getvalue() == "time,event,cohort\r\n1,1,a\r\n2,0,a\r\n"
+        assert read_events_csv(io.StringIO(buf.getvalue()))[0].records == recs
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\r", "\r\n"])
+    def test_label_with_line_break_is_not_written(self, label):
+        table = EventTable(np.array([1.0]), np.array([1]), label)
+        for records in (table, list(table)):
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match="line break"):
+                write_events_csv(records, buf)
+            assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_event_write_matches_csv_writer(self, label):
+        table = EventTable(np.array([0.1 + 0.2, 1e-300, 24.0]), np.array([1, 0, 1]), label)
+        expected = csv_text(
+            [["time", "event", "cohort"]]
+            + [[f"{t:.17g}", d, label] for t, d in zip(table.times.tolist(), table.flags.tolist())]
+        )
+        for records in (table, list(table)):
+            buf = io.StringIO()
+            write_events_csv(records, buf)
+            assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_overlay_write_matches_csv_writer(self, with_model):
+        width = 3 if with_model else 2
+        rows = {label: [(0.0, 1.0, 1.0)[:width], (0.1 + 0.2, 0.5, 1.0 / 3.0)[:width]] for label in LABELS}
+        header = ["cohort", "t", "km", "model"][: width + 1]
+        expected = csv_text(
+            [header] + [[c] + [f"{v:.17g}" for v in row] for c in sorted(rows) for row in rows[c]]
+        )
+        buf = io.StringIO()
+        write_overlay_csv(rows, buf, with_model=with_model)
+        assert buf.getvalue() == expected
 
     def test_cohort_labels_with_commas_survive(self):
         recs = [EventRecord(1.0, 1, "a,b")]
@@ -238,3 +314,88 @@ class TestRenderings:
         buf2 = io.StringIO()
         write_overlay_csv({"a": [(0.0, 1.0)]}, buf2, with_model=False)
         assert buf2.getvalue().splitlines()[0] == "cohort,t,km"
+
+
+# --- the reader against the row-by-row loop it replaced -------------------
+
+
+def row_loop_oracle(text):
+    """The reader as one loop over csv rows, with the same checks and messages."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["time", "event", "cohort"]:
+        raise CsvFormatError("line 1: missing or invalid header, expected time,event,cohort")
+    columns = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise CsvFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        raw_time, raw_event, cohort = row
+        try:
+            time = float(raw_time)
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: non-numeric time {raw_time!r}") from None
+        if not (math.isfinite(time) and time > 0.0):
+            raise CsvFormatError(
+                f"line {lineno}: time must be a positive finite number, got {raw_time}"
+            )
+        flag = raw_event.strip()
+        if flag not in ("0", "1"):
+            raise CsvFormatError(f"line {lineno}: event flag must be 0 or 1, got {raw_event!r}")
+        times, flags = columns.setdefault(cohort, ([], []))
+        times.append(time)
+        flags.append(int(flag))
+    return [
+        (cohort, times, flags, ModelKind.ZERO_TRUNCATED if all(flags) else ModelKind.PROMOTION_TIME)
+        for cohort, (times, flags) in columns.items()
+    ]
+
+
+TIED_TIMES = ["1", "2", "3.5", "24", "0.30000000000000004", "1e-300"]
+BAD_ROWS = [
+    "0,1,a", "-1,1,a", "inf,1,a", "nan,0,a", "fast,1,a", ",1,a", "1,2,a", "1,yes,a",
+    "1,,a", "1,1", "1,1,a,b", " ",
+]
+
+
+@st.composite
+def event_csv(draw):
+    """CSV text with heavy ties, blank lines, LF and CRLF ends, quoted labels and maybe a bad row."""
+    time_text = st.one_of(
+        st.sampled_from(TIED_TIMES),
+        st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    )
+    row = st.tuples(time_text, st.sampled_from(["0", "1", " 1", "0 "]), st.sampled_from(LABELS))
+    rows = draw(st.lists(row, max_size=40))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    lines = [csv_text([r], quoting)[: -len("\r\n")] for r in rows]
+    bad = draw(st.sampled_from(BAD_ROWS))
+    for _ in range(draw(st.integers(0, 2))):  # a repeated bad row fails at its first line
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "time,event,cohort" + ends[0] + "".join(l + e for l, e in zip(lines, ends[1:]))
+    if lines and lines[-1] and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last record
+    return text
+
+
+class TestReaderMatchesRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(text=event_csv(), chunk=st.integers(1, 64))
+    def test_same_cohorts_or_same_error(self, text, chunk):
+        try:
+            expected = row_loop_oracle(text)
+        except CsvFormatError as exc:
+            expected = str(exc)
+        with patch.object(report, "_CHUNK_LINES", chunk):
+            try:
+                got = [
+                    (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
+                    for ds in parse(text)
+                ]
+            except CsvFormatError as exc:
+                got = str(exc)
+        assert got == expected
