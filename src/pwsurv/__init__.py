@@ -11,7 +11,6 @@ loss given default at a horizon).
 from .distributions import (
     LatentCountParams,
     WeibullParams,
-    log_expm1,
     poisson_pmf,
     weibull_cdf,
     weibull_pdf,
@@ -66,7 +65,6 @@ __all__ = [
     "to_arrays",
     "WeibullParams",
     "LatentCountParams",
-    "log_expm1",
     "weibull_pdf",
     "weibull_cdf",
     "weibull_survival",

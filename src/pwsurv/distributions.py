@@ -91,40 +91,37 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def log_expm1(x: float) -> float:
-    """log(exp(x) - 1), safe against overflow for large x."""
-    if x > 50.0:
-        return x + np.log1p(-np.exp(-x))
-    return float(np.log(np.expm1(x)))
+def _zt_mean(theta):
+    # the zero-truncated normalizer theta / (1 - exp(-theta)), unchecked
+    return theta / -np.expm1(-theta)
+
+
+def _weibull_log_terms(arr: np.ndarray, p: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
+    """log f and w = (t/scale)^shape; log f's power term is 0 at shape 1, and log f is -inf at w = inf."""
+    z = arr / p.scale
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        power = (p.shape - 1.0) * np.log(z) if p.shape != 1.0 else 0.0
+        w = z**p.shape
+        log_f = np.log(p.shape / p.scale) + power - w
+    return np.where(w < np.inf, log_f, -np.inf), w
 
 
 def weibull_pdf(t, p: WeibullParams):
     """Density (shape/scale) * (t/scale)^(shape-1) * exp(-(t/scale)^shape)."""
     arr = _as_time(t)
-    z = arr / p.scale
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        poly = z ** (p.shape - 1.0)
-        dens = (p.shape / p.scale) * poly * np.exp(-(z**p.shape))
-        # Far tail: the polynomial factor may overflow before the exponential
-        # underflows; the true density there is 0.
-        dens = np.where((z > 1.0) & np.isinf(poly), 0.0, dens)
-    return _ret(dens, arr)
+    return _ret(np.exp(_weibull_log_terms(arr, p)[0]), arr)
 
 
 def weibull_cdf(t, p: WeibullParams):
     """F(t) = 1 - exp(-(t/scale)^shape)."""
     arr = _as_time(t)
-    with np.errstate(over="ignore"):
-        out = -np.expm1(-((arr / p.scale) ** p.shape))
-    return _ret(out, arr)
+    return _ret(-np.expm1(-_weibull_log_terms(arr, p)[1]), arr)
 
 
 def weibull_survival(t, p: WeibullParams):
     """S(t) = exp(-(t/scale)^shape), the complement of weibull_cdf."""
     arr = _as_time(t)
-    with np.errstate(over="ignore"):
-        out = np.exp(-((arr / p.scale) ** p.shape))
-    return _ret(out, arr)
+    return _ret(np.exp(-_weibull_log_terms(arr, p)[1]), arr)
 
 
 def poisson_pmf(m, theta: float):
@@ -139,8 +136,7 @@ def zt_poisson_pmf(m, theta: float):
     """Zero-truncated pmf theta^m / (m! (exp(theta) - 1)) for m = 1, 2, ..."""
     theta = _check_theta(theta)
     arr = _as_count(m, minimum=1)
-    out = np.exp(arr * np.log(theta) - _gammaln(arr + 1.0) - log_expm1(theta))
-    return _ret(out, np.asarray(m))
+    return poisson_pmf(arr, theta) * (_zt_mean(theta) / theta)
 
 
 def zt_poisson_mean(theta: float) -> float:
@@ -149,5 +145,4 @@ def zt_poisson_mean(theta: float) -> float:
     Computed as theta / (1 - exp(-theta)), which is stable for both small and
     large theta. Always exceeds both theta and 1.
     """
-    theta = _check_theta(theta)
-    return theta / -np.expm1(-theta)
+    return float(_zt_mean(_check_theta(theta)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import LatentCountParams, WeibullParams
 from .events import EventRecord, EventTable, to_arrays
-from .models import ModelKind, ModelSpec
+from .models import ModelKind, ModelSpec, _log_lead, _require_kind
 from .nonparametric import KmCurve, kaplan_meier
 
 __all__ = [
@@ -85,18 +85,16 @@ class FitResult:
 
 # --- the likelihood kernel -------------------------------------------------
 #
-# Both kinds share one log-likelihood. With d the event flag, D = sum d over
-# n records, z = t/scale, L = log z, w = z^shape and S = exp(-w):
+# Both kinds share one log-likelihood, the sum of the log-space formulas in
+# models.py; the kind enters only through their lead term log a(theta). With
+# d the event flag, D = sum d over n records, z = t/scale, L = log z,
+# w = z^shape and S = exp(-w):
 #
-#   l = sum d log f + theta sum S + D log(theta) - n c(theta)
+#   l = sum d log f + theta sum S + D log a(theta) - n theta
 #   log f = log(shape) - log(scale) + (shape - 1) L - w
 #
 # Each sum runs over the distinct (time, flag) pairs, weighted by the number
 # of records holding the pair, so tied records cost one term.
-#
-# The promotion-time kind has c(theta) = theta; the zero-truncated kind has
-# c(theta) = log(e^theta - 1) and d = 1, so its theta-only terms equal
-# -n log exprel(theta) with exprel(x) = (e^x - 1)/x, smooth through 0.
 
 # Below this theta the zero-truncated theta derivatives use their Taylor
 # series; the closed forms lose every digit as theta goes to 0.
@@ -139,15 +137,14 @@ def _loglik_derivatives(
     events = counts * flags  # the event-weighted counts
     n = float(np.sum(counts))
     n_events = float(np.sum(events))
-    # c0, c1, c2: the theta-only terms D log(theta) - n c(theta) and their
+    # c0, c1, c2: the theta-only terms D log a(theta) - n theta and their
     # first two theta derivatives
+    c0 = n_events * _log_lead(kind, theta) - n * theta
     if kind is ModelKind.PROMOTION_TIME:
-        c0 = n_events * np.log(theta) - n * theta
         c1 = n_events / theta - n
         c2 = -n_events / theta**2
     else:
         one_minus = -np.expm1(-theta)
-        c0 = -n * (theta + np.log(one_minus / theta))
         if theta < _SERIES_CUTOFF:
             c1 = -n * (0.5 + theta / 12.0 - theta**3 / 720.0)
             c2 = -n * (1.0 / 12.0 - theta**2 / 240.0)
@@ -230,8 +227,7 @@ def loglik_zt(data: Iterable[EventRecord], m: ModelSpec) -> float:
 
     Every record must have event = 1; censored records are rejected.
     """
-    if m.kind is not ModelKind.ZERO_TRUNCATED:
-        raise ValueError("loglik_zt requires a zero-truncated ModelSpec")
+    _require_kind(m, ModelKind.ZERO_TRUNCATED)
     times, flags = to_arrays(data)
     _validate(m.kind, times, flags)
     return _zt_loglik(times, *m.params())
@@ -242,8 +238,7 @@ def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
 
     Events contribute log density, censored records log survival.
     """
-    if m.kind is not ModelKind.PROMOTION_TIME:
-        raise ValueError("loglik_ptm requires a promotion-time ModelSpec")
+    _require_kind(m, ModelKind.PROMOTION_TIME)
     times, flags = to_arrays(data)
     if times.size == 0:
         raise ValueError("dataset is empty")

@@ -5,6 +5,17 @@ independent Weibull cause-specific times. The zero-truncated variant
 conditions on M >= 1 (every subject eventually fails); the promotion-time
 variant lets M = 0 with probability exp(-theta), giving a cured fraction that
 never experiences the event.
+
+Both kinds share one set of log-space formulas. With w = (t/scale)^shape,
+S = exp(-w), F = 1 - S, log f the Weibull log density and the lead term
+log a(theta) = log theta (ptm) or log(theta / (1 - e^-theta)) (zt):
+
+    log f_Y = log a(theta) - theta F + log f                         (both)
+    log S_Y = -theta F                                               (ptm)
+    log S_Y = log(1 - e^(-theta S)) - log(1 - e^-theta) - theta F    (zt)
+
+The zt survival is summed as log a(theta) - theta F - w + log g(theta S) with
+g(x) = (1 - e^-x) / x, so theta S may underflow; all are finite for theta > 0.
 """
 
 from __future__ import annotations
@@ -17,10 +28,10 @@ import numpy as np
 from .distributions import (
     LatentCountParams,
     WeibullParams,
-    log_expm1,
-    weibull_cdf,
-    weibull_pdf,
-    weibull_survival,
+    _as_time,
+    _ret,
+    _weibull_log_terms,
+    _zt_mean,
 )
 
 __all__ = [
@@ -74,6 +85,11 @@ def _require_kind(m: ModelSpec, kind: ModelKind) -> None:
         raise ValueError(f"operation requires a {kind.value} model, got {m.kind.value}")
 
 
+def _log_lead(kind: ModelKind, theta):
+    """log a(theta): log theta (ptm) or log theta / (1 - exp(-theta)) (zt)."""
+    return np.log(theta if kind is ModelKind.PROMOTION_TIME else _zt_mean(theta))
+
+
 def ztpw_density(t, m: ModelSpec):
     """Event-time density of the zero-truncated model.
 
@@ -81,25 +97,13 @@ def ztpw_density(t, m: ModelSpec):
     the Weibull survival and density.
     """
     _require_kind(m, ModelKind.ZERO_TRUNCATED)
-    theta = m.theta.theta
-    surv = weibull_survival(t, m.weibull)
-    # exp(log theta + theta*S - log(e^theta - 1)) stays finite for large theta.
-    amplitude = np.exp(np.log(theta) + theta * np.asarray(surv) - log_expm1(theta))
-    out = amplitude * weibull_pdf(t, m.weibull)
-    return float(out) if np.ndim(t) == 0 else out
+    return model_density(t, m)
 
 
 def ztpw_survival(t, m: ModelSpec):
     """Survival of the zero-truncated model: (exp(theta*S(t)) - 1) / (exp(theta) - 1)."""
     _require_kind(m, ModelKind.ZERO_TRUNCATED)
-    theta = m.theta.theta
-    surv = np.asarray(weibull_survival(t, m.weibull))
-    if theta <= 700.0:
-        out = np.expm1(theta * surv) / np.expm1(theta)
-    else:
-        # Both numerator and denominator overflow; the -1 terms are negligible.
-        out = np.exp(theta * (surv - 1.0))
-    return float(out) if np.ndim(t) == 0 else out
+    return model_survival(t, m)
 
 
 def ptm_density(t, m: ModelSpec):
@@ -109,9 +113,7 @@ def ptm_density(t, m: ModelSpec):
     1 - exp(-theta), the complement of the cured fraction.
     """
     _require_kind(m, ModelKind.PROMOTION_TIME)
-    theta = m.theta.theta
-    out = theta * weibull_pdf(t, m.weibull) * np.exp(-theta * np.asarray(weibull_cdf(t, m.weibull)))
-    return float(out) if np.ndim(t) == 0 else out
+    return model_density(t, m)
 
 
 def ptm_survival(t, m: ModelSpec):
@@ -120,9 +122,7 @@ def ptm_survival(t, m: ModelSpec):
     Decreases from 1 to the cure plateau exp(-theta) as t grows.
     """
     _require_kind(m, ModelKind.PROMOTION_TIME)
-    theta = m.theta.theta
-    out = np.exp(-theta * np.asarray(weibull_cdf(t, m.weibull)))
-    return float(out) if np.ndim(t) == 0 else out
+    return model_survival(t, m)
 
 
 def cure_fraction(m: ModelSpec) -> float:
@@ -148,14 +148,23 @@ def elgd_at_horizon(m: ModelSpec, horizon: float) -> float:
 
 
 def model_density(t, m: ModelSpec):
-    """Density of either model kind, dispatched on m.kind."""
-    if m.kind is ModelKind.ZERO_TRUNCATED:
-        return ztpw_density(t, m)
-    return ptm_density(t, m)
+    """Density of either model kind: a(theta) exp(-theta F(t)) f(t)."""
+    arr = _as_time(t)
+    theta = m.theta.theta
+    log_f, w = _weibull_log_terms(arr, m.weibull)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_density = _log_lead(m.kind, theta) - theta * -np.expm1(-w) + log_f
+    return _ret(np.exp(log_density), arr)
 
 
 def model_survival(t, m: ModelSpec):
-    """Survival of either model kind, dispatched on m.kind."""
+    """Survival of either model kind: exp(-theta F(t)) (ptm), or the zt form of the module docstring."""
+    arr = _as_time(t)
+    theta = m.theta.theta
+    w = _weibull_log_terms(arr, m.weibull)[1]
+    log_survival = -theta * -np.expm1(-w)
     if m.kind is ModelKind.ZERO_TRUNCATED:
-        return ztpw_survival(t, m)
-    return ptm_survival(t, m)
+        x = theta * np.exp(-w)
+        g = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)  # g(0) = 1
+        log_survival += _log_lead(m.kind, theta) - w + np.log(g)
+    return _ret(np.exp(log_survival), arr)

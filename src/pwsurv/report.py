@@ -16,14 +16,14 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice, starmap
+from itertools import groupby, islice, starmap
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
 from .distributions import zt_poisson_mean
-from .events import EventRecord, EventTable
+from .events import EventRecord, EventTable, to_arrays
 from .inference import FitResult, wald_summary
 from .models import ModelKind, cure_fraction, elgd_at_horizon
 from .nonparametric import kaplan_meier
@@ -208,17 +208,18 @@ def write_events_csv(records: Iterable[EventRecord], dest) -> None:
             write_events_csv(records, handle)
         return
     if isinstance(records, EventTable):
-        fmt = _event_format(records.cohort)
-        dest.write(",".join(_HEADER) + "\r\n")
-        for start in range(0, len(records), _CHUNK_LINES):
-            chunk = slice(start, start + _CHUNK_LINES)
-            times, flags = records.times[chunk].tolist(), records.flags[chunk].tolist()
-            dest.write("".join(map(fmt.format, times, flags)))
+        tables = [records]
     else:
-        records = list(records)
-        fmts = {label: _event_format(label) for label in {r.cohort for r in records}}
-        dest.write(",".join(_HEADER) + "\r\n")
-        dest.writelines(fmts[r.cohort].format(r.time, int(r.event)) for r in records)
+        # one table per run of records with the same label, in their order
+        runs = groupby(records, key=lambda r: r.cohort)
+        tables = [EventTable(*to_arrays(run), label) for label, run in runs]
+    fmts = [_event_format(table.cohort) for table in tables]
+    dest.write(",".join(_HEADER) + "\r\n")
+    for table, fmt in zip(tables, fmts):
+        for start in range(0, len(table), _CHUNK_LINES):
+            chunk = slice(start, start + _CHUNK_LINES)
+            times, flags = table.times[chunk].tolist(), table.flags[chunk].tolist()
+            dest.write("".join(map(fmt.format, times, flags)))
 
 
 @dataclass(frozen=True)

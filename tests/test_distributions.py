@@ -7,7 +7,6 @@ import scipy.stats as st
 from pwsurv import (
     LatentCountParams,
     WeibullParams,
-    log_expm1,
     poisson_pmf,
     weibull_cdf,
     weibull_pdf,
@@ -151,17 +150,3 @@ class TestZtPoissonMean:
     def test_large_theta_approaches_theta(self):
         assert zt_poisson_mean(800.0) == pytest.approx(800.0, rel=1e-15)
 
-
-class TestLogExpm1:
-    @pytest.mark.parametrize("x", [1e-6, 0.1, 1.0, 10.0, 49.9])
-    def test_matches_direct_evaluation(self, x):
-        assert log_expm1(x) == pytest.approx(float(np.log(np.expm1(x))), rel=1e-14)
-
-    def test_no_overflow_for_large_arguments(self):
-        assert log_expm1(800.0) == pytest.approx(800.0, rel=1e-15)
-        assert np.isfinite(log_expm1(1e6))
-
-    def test_continuity_at_branch_point(self):
-        below = log_expm1(50.0 - 1e-9)
-        above = log_expm1(50.0 + 1e-9)
-        assert abs(above - below) < 1e-7

@@ -1,5 +1,6 @@
 """Likelihoods, the Newton fit, and Wald inference."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from pwsurv import (
     loglik_ptm,
     loglik_zt,
     ptm_density,
+    ptm_survival,
     simulate_cohort,
     wald_summary,
     ztpw_density,
@@ -47,6 +49,9 @@ def mixed(pairs):
     return [EventRecord(t, d) for t, d in pairs]
 
 
+PIN_THETAS = [1e-8, 1e-3, 2.0, 50.0, 710.0]
+PIN_TIMES = [0.01, 1.7, 6.0]
+
 ZT_TOY = events([0.8, 2.5, 4.0, 1.2])
 PTM_TOY = mixed([(3.0, 1), (24.0, 0), (7.5, 1), (24.0, 0), (1.1, 1)])
 PTM_TOY_10 = mixed(
@@ -69,15 +74,27 @@ class TestLoglik:
         m2 = ModelSpec.promotion_time(0.5, 1.3, 5.0)
         assert loglik_ptm(PTM_TOY_10, m2) == pytest.approx(-27.020379047585868, abs=1e-10)
 
+    # The kernel's sums against the model functions, compared as values: the
+    # log of a survival near 1 has few correct digits even when the value is right.
     def test_zt_single_record_is_log_density(self):
         m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
         assert loglik_zt(events([1.7]), m) == pytest.approx(np.log(ztpw_density(1.7, m)), rel=1e-14)
+        for theta, t in itertools.product(PIN_THETAS, PIN_TIMES):
+            m = ModelSpec.zero_truncated(theta, 1.5, 3.0)
+            got = np.exp(loglik_zt(events([t]), m))
+            assert got == pytest.approx(ztpw_density(t, m), rel=1e-12), (theta, t)
 
     def test_ptm_single_records(self):
         m = ModelSpec.promotion_time(0.8, 1.2, 10.0)
         # censored record contributes -theta * F(tau)
         assert loglik_ptm([EventRecord(6.0, 0)], m) == pytest.approx(-0.33460641971530735, rel=1e-13)
         assert loglik_ptm([EventRecord(6.0, 1)], m) == pytest.approx(np.log(ptm_density(6.0, m)), rel=1e-13)
+        for theta, t in itertools.product(PIN_THETAS, PIN_TIMES):
+            m = ModelSpec.promotion_time(theta, 1.2, 10.0)
+            censored = np.exp(loglik_ptm([EventRecord(t, 0)], m))
+            assert censored == pytest.approx(ptm_survival(t, m), rel=1e-12), (theta, t)
+            event = np.exp(loglik_ptm([EventRecord(t, 1)], m))
+            assert event == pytest.approx(ptm_density(t, m), rel=1e-12), (theta, t)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):

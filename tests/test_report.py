@@ -176,6 +176,19 @@ class TestCsvRoundTrip:
         assert buf.getvalue() == "time,event,cohort\r\n1,1,a\r\n2,0,a\r\n"
         assert read_events_csv(io.StringIO(buf.getvalue()))[0].records == recs
 
+    def test_interleaved_labels_keep_row_order(self):
+        recs = [EventRecord(1.5, 1, "a"), EventRecord(2.0, 0, "b"), EventRecord(0.25, 1, "a")]
+        buf = io.StringIO()
+        write_events_csv(recs, buf)
+        assert buf.getvalue() == "time,event,cohort\r\n1.5,1,a\r\n2,0,b\r\n0.25,1,a\r\n"
+
+    def test_bad_label_after_good_runs_writes_nothing(self):
+        recs = [EventRecord(1.0, 1, "a"), EventRecord(2.0, 1, "b"), EventRecord(3.0, 1, "c\n")]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="line break"):
+            write_events_csv(recs, buf)
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize("label", ["a\nb", "a\r", "\r\n"])
     def test_label_with_line_break_is_not_written(self, label):
         table = EventTable(np.array([1.0]), np.array([1]), label)
