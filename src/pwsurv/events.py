@@ -39,8 +39,9 @@ class EventTable(Sequence):
 
     The columns follow the EventRecord rules, checked at once; the error
     names the first bad index. As a sequence of EventRecord an int index
-    gives a record and a slice gives a table, and a table equals any
-    sequence that holds the same records in order.
+    gives a record and a slice gives a table. Two tables are equal when
+    their columns and labels are; a table equals any other sequence that
+    holds the same records in order.
     """
 
     times: np.ndarray
@@ -71,6 +72,12 @@ class EventTable(Sequence):
         return EventRecord(float(self.times[index]), int(self.flags[index]), self.cohort)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, EventTable):
+            return (
+                self.cohort == other.cohort
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.flags, other.flags)
+            )
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(other) == len(self) and all(a == b for a, b in zip(self, other))

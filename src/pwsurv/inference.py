@@ -53,7 +53,6 @@ class SingularInformationError(RuntimeError):
 class FitOptions:
     """Optimizer settings for fit_mle."""
 
-    gradient_tol: float = 1e-8
     max_iterations: int = 200
     initial: tuple[float, float, float] | None = None
 
@@ -249,6 +248,8 @@ def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
 
 # Step halvings before the line search gives up.
 _MAX_HALVINGS = 40
+# Largest log-coordinate gradient component of a converged fit.
+_GRADIENT_TOL = 1e-8
 
 
 def _weibull_plot_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
@@ -350,7 +351,7 @@ def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, opts: FitOpti
         # chain rule for u = log p: g_u = p g, H_u = diag(p) H diag(p) + diag(p g)
         g_u = p * g
         gnorm = float(np.max(np.abs(g_u)))
-        if gnorm < opts.gradient_tol:
+        if gnorm < _GRADIENT_TOL:
             converged = True
             break
         if iterations >= opts.max_iterations:

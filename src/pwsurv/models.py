@@ -15,7 +15,8 @@ log a(theta) = log theta (ptm) or log(theta / (1 - e^-theta)) (zt):
     log S_Y = log(1 - e^(-theta S)) - log(1 - e^-theta) - theta F    (zt)
 
 The zt survival is summed as log a(theta) - theta F - w + log g(theta S) with
-g(x) = (1 - e^-x) / x, so theta S may underflow; all are finite for theta > 0.
+g(x) = (1 - e^-x) / x, so theta S may underflow, and capped at 0 against
+rounding; all are finite for theta > 0.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def model_density(t, m: ModelSpec):
     theta = m.theta.theta
     log_f, w = _weibull_log_terms(arr, m.weibull)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_density = _log_lead(m.kind, theta) - theta * -np.expm1(-w) + log_f
+        # theta = 0 (ptm) has no causes: the density is 0 even where f is inf
+        log_density = _log_lead(m.kind, theta) - theta * -np.expm1(-w) + (log_f if theta > 0.0 else 0.0)
     return _ret(np.exp(log_density), arr)
 
 
@@ -166,5 +168,6 @@ def model_survival(t, m: ModelSpec):
     if m.kind is ModelKind.ZERO_TRUNCATED:
         x = theta * np.exp(-w)
         g = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)  # g(0) = 1
-        log_survival += _log_lead(m.kind, theta) - w + np.log(g)
+        # log a and log g(theta S) cancel near t = 0 only up to rounding
+        log_survival = np.minimum(log_survival + _log_lead(m.kind, theta) - w + np.log(g), 0.0)
     return _ret(np.exp(log_survival), arr)

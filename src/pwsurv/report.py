@@ -15,10 +15,10 @@ import io
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby, islice, starmap
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -62,26 +62,17 @@ class CohortDataset:
     kind: ModelKind
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "read") and isinstance(source.read(0), bytes)
-    ):
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    return source, False
-
-
 def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset]:
     """Parse an event CSV into per-cohort datasets, in first-appearance order.
 
-    ``source`` may be a path or an open text/byte stream. When ``kind`` is
+    ``source`` may be a path or an open text stream. When ``kind`` is
     None the model kind is inferred per cohort: fully observed cohorts get
     the zero-truncated model, cohorts with censoring the promotion-time
     model. Each record must fit on one physical line. Malformed input raises
     CsvFormatError naming the line.
     """
-    stream, owned = _open_text(source)
+    owned = isinstance(source, (str, Path))
+    stream = open(source, "r", encoding="utf-8", newline="") if owned else source
     try:
         try:
             header = next(csv.reader([stream.readline()]))
@@ -244,7 +235,7 @@ def build_summary_table(
     horizon: float,
     observed: Mapping[str, float] | None = None,
 ) -> list[SummaryRow]:
-    """Cross-cohort summary rows, sorted by cohort label.
+    """Cross-cohort summary rows, sorted by cohort label, from fit_report_dict.
 
     Zero-truncated fits report the truncated latent mean in the default
     column; promotion-time fits report the raw intensity in the recovery
@@ -254,28 +245,20 @@ def build_summary_table(
     observed = observed or {}
     rows = []
     for cohort in sorted(fits):
-        fit = fits[cohort]
-        theta_hat = fit.model.theta.theta
-        if fit.model.kind is ModelKind.ZERO_TRUNCATED:
-            row = SummaryRow(
+        rep = fit_report_dict(cohort, fits[cohort], horizon)
+        # only a model with a horizon ELGD fills the recovery columns
+        elgd = rep.get("elgd_at_horizon")
+        obs = None if elgd is None else observed.get(cohort)
+        rows.append(
+            SummaryRow(
                 cohort=cohort,
-                theta_default=zt_poisson_mean(theta_hat),
-                theta_recovery=None,
-                observed_lgd_pct=None,
-                elgd_pct=None,
-                converged=fit.converged,
-            )
-        else:
-            obs = observed.get(cohort)
-            row = SummaryRow(
-                cohort=cohort,
-                theta_default=None,
-                theta_recovery=theta_hat,
+                theta_default=rep.get("latent_mean"),
+                theta_recovery=None if elgd is None else rep["estimates"]["theta"],
                 observed_lgd_pct=None if obs is None else 100.0 * obs,
-                elgd_pct=100.0 * elgd_at_horizon(fit.model, horizon),
-                converged=fit.converged,
+                elgd_pct=None if elgd is None else 100.0 * elgd,
+                converged=rep["converged"],
             )
-        rows.append(row)
+        )
     return rows
 
 
@@ -306,35 +289,42 @@ def _cell(value: float | None, fmt: str = "{:.4f}") -> str:
 
 
 def format_fit_report(cohort: str, fit: FitResult, horizon: float) -> str:
-    """Appendix-style text block for one cohort fit."""
-    lines = [f"cohort {cohort} [{fit.model.kind.value}]"]
-    if fit.converged:
+    """Appendix-style text block for one cohort fit: fit_report_dict as text."""
+    rep = fit_report_dict(cohort, fit, horizon)
+    lines = [f"cohort {cohort} [{rep['model']}]"]
+    if "parameters" in rep:
         lines.append(
             f"  {'parameter':<10} {'estimate':>12} {'SE':>10} {'LI':>12} {'UI':>12} {'p-value':>9}"
         )
-        for row in wald_summary(fit):
+        for row in rep["parameters"]:
             lines.append(
-                f"  {row.parameter:<10} {row.estimate:>12.4f} {row.se:>10.4f}"
-                f" {row.ci_low:>12.4f} {row.ci_high:>12.4f} {row.p_text:>9}"
+                f"  {row['parameter']:<10} {row['estimate']:>12.4f} {row['se']:>10.4f}"
+                f" {row['ci_low']:>12.4f} {row['ci_high']:>12.4f} {row['p_text']:>9}"
             )
     else:
-        theta, shape, scale = fit.model.params()
+        est = rep["estimates"]
         lines.append(
             "  NOT CONVERGED "
-            f"(last point theta={theta:.4g} shape={shape:.4g} scale={scale:.4g}, "
-            f"gradient norm {fit.gradient_norm:.3g} after {fit.iterations} iterations)"
+            f"(last point theta={est['theta']:.4g} shape={est['shape']:.4g} scale={est['scale']:.4g}, "
+            f"gradient norm {rep['gradient_norm']:.3g} after {rep['iterations']} iterations)"
         )
-    lines.append(f"  log-likelihood {fit.loglik:.4f}")
-    if fit.model.kind is ModelKind.ZERO_TRUNCATED:
-        lines.append(f"  expected latent causes (truncated mean) {zt_poisson_mean(fit.model.theta.theta):.4f}")
+    lines.append(f"  log-likelihood {rep['loglik']:.4f}")
+    if "latent_mean" in rep:
+        lines.append(f"  expected latent causes (truncated mean) {rep['latent_mean']:.4f}")
     else:
-        lines.append(f"  cure fraction {cure_fraction(fit.model):.4f}")
-        lines.append(f"  ELGD at horizon {horizon:g}: {100.0 * elgd_at_horizon(fit.model, horizon):.3f}%")
+        lines.append(f"  cure fraction {rep['cure_fraction']:.4f}")
+        lines.append(f"  ELGD at horizon {rep['horizon']:g}: {100.0 * rep['elgd_at_horizon']:.3f}%")
     return "\n".join(lines)
 
 
 def fit_report_dict(cohort: str, fit: FitResult, horizon: float) -> dict:
-    """Machine-readable fit summary, mirrors format_fit_report."""
+    """The one record of what a cohort fit reports.
+
+    format_fit_report renders it as text, dumps_fit_reports as JSON and
+    build_summary_table as a summary row. Wald rows appear only for a
+    converged fit; the zero-truncated model adds its latent mean, the
+    promotion-time model its cure fraction and ELGD at the horizon.
+    """
     theta, shape, scale = fit.model.params()
     out = {
         "cohort": cohort,
@@ -346,18 +336,7 @@ def fit_report_dict(cohort: str, fit: FitResult, horizon: float) -> dict:
         "gradient_norm": fit.gradient_norm,
     }
     if fit.converged:
-        out["parameters"] = [
-            {
-                "parameter": row.parameter,
-                "estimate": row.estimate,
-                "se": row.se,
-                "ci_low": row.ci_low,
-                "ci_high": row.ci_high,
-                "p_value": row.p_value,
-                "p_text": row.p_text,
-            }
-            for row in wald_summary(fit)
-        ]
+        out["parameters"] = [{**asdict(row), "p_text": row.p_text} for row in wald_summary(fit)]
     if fit.model.kind is ModelKind.ZERO_TRUNCATED:
         out["latent_mean"] = zt_poisson_mean(theta)
     else:

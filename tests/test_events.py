@@ -1,6 +1,7 @@
 """The columnar cohort: validation, sequence behaviour, CSV writing, columns."""
 
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ class TestSequence:
         assert t != table("b")
         assert t != recs[:2]
         assert t != recs[::-1]
+
+    def test_tables_compare_by_columns(self):
+        n = 100_000
+        times, flags = np.linspace(1.0, 50.0, n), np.arange(n) % 2
+        big = EventTable(times, flags, "c")
+        other_time, other_flag = times.copy(), flags.copy()
+        other_time[-1] += 1.0
+        other_flag[-1] = 1 - other_flag[-1]
+        shorter = big[:-1]
+        # comparing two tables builds no records
+        with patch.object(EventTable, "__getitem__", side_effect=AssertionError("record built")):
+            assert big == EventTable(times.copy(), flags.copy(), "c")
+            assert big != EventTable(other_time, flags, "c")
+            assert big != EventTable(times, other_flag, "c")
+            assert big != EventTable(times, flags, "d")
+            assert big != shorter
 
 
 class TestColumns:

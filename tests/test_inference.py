@@ -26,6 +26,7 @@ from pwsurv import (
     ztpw_density,
 )
 from pwsurv.inference import (
+    _GRADIENT_TOL,
     _SERIES_CUTOFF,
     PARAM_NAMES,
     Z_95,
@@ -273,7 +274,7 @@ class TestFitMle:
         np.testing.assert_allclose(fit.ci_low, fit.estimates - Z_95 * fit.se, rtol=1e-14)
         np.testing.assert_allclose(fit.ci_high, fit.estimates + Z_95 * fit.se, rtol=1e-14)
         assert np.all(fit.ci_low < fit.estimates) and np.all(fit.estimates < fit.ci_high)
-        assert fit.gradient_norm < FitOptions().gradient_tol
+        assert fit.gradient_norm < _GRADIENT_TOL
         cov = fit.cov
         np.testing.assert_allclose(cov, cov.T, rtol=1e-12)
 

@@ -3,10 +3,12 @@
 Both kinds are compared with 50-digit mpmath evaluations of the defining
 formulas, wherever the true value is a normal double: theta from 1e-8 to
 1e4 (past exp overflow near 709), shapes from 0.01 to 20 and times from
-1e-300 to 1e300.
+1e-300 to 1e300. At t = 0 and t = inf, on the same grid, both kinds take
+their exact limits.
 """
 
 import functools
+import math
 import sys
 import warnings
 
@@ -82,6 +84,8 @@ def test_matches_high_precision_reference(kind, shape):
         ref_density, ref_survival = reference(theta, shape)[kind]
         assert_matches(density, ref_density, f"density theta={theta}")
         assert_matches(survival, ref_survival, f"survival theta={theta}")
+        # the zt log terms cancel near t = 0 only up to rounding
+        assert survival.max() <= 1.0, f"survival theta={theta}: {survival.max()!r}"
 
 
 @pytest.mark.parametrize("theta", [701.0, 710.0, 1e4])
@@ -93,9 +97,42 @@ def test_zero_truncated_survival_reaches_zero(theta):
 
 
 def test_promotion_time_without_causes_is_all_cured():
-    m = ModelSpec.promotion_time(0.0, 1.5, SCALE)
-    t = np.array([1e-300, 1.0, SCALE, 1e300])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        np.testing.assert_array_equal(model_density(t, m), 0.0)
-        np.testing.assert_array_equal(model_survival(t, m), 1.0)
+    t = np.array([0.0, 1e-300, 1.0, SCALE, 1e300, np.inf])
+    for shape in SHAPES:
+        m = ModelSpec.promotion_time(0.0, shape, SCALE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(model_density(t, m), 0.0, err_msg=f"shape={shape}")
+            np.testing.assert_array_equal(model_survival(t, m), 1.0, err_msg=f"shape={shape}")
+
+
+def lead(kind, theta):
+    """a(theta): theta (ptm) or theta / (1 - e^-theta) (zt)."""
+    return theta if kind is ModelKind.PROMOTION_TIME else theta / -math.expm1(-theta)
+
+
+def close(got, expected):
+    return math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_limits_at_zero_and_infinity(kind, shape):
+    for theta in THETAS:
+        m = ModelSpec(kind, LatentCountParams(theta), WeibullParams(shape, SCALE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (f0, f_inf), (s0, s_inf) = model_density([0.0, math.inf], m), model_survival([0.0, math.inf], m)
+        label = f"theta={theta}"
+        assert s0 <= 1.0 and close(s0, 1.0), label
+        if shape > 1.0:
+            assert f0 == 0.0, label
+        elif shape == 1.0:
+            assert close(f0, lead(kind, theta) / SCALE), label
+        else:
+            assert f0 == math.inf, label
+        assert f_inf == 0.0, label
+        if kind is ModelKind.ZERO_TRUNCATED:
+            assert s_inf == 0.0, label
+        else:
+            assert close(s_inf, math.exp(-theta)), label

@@ -146,6 +146,10 @@ class TestReadEventsCsv:
         assert read_events_csv(p)[0].records == [EventRecord(1.5, 1, "a")]
         assert read_events_csv(str(p))[0].records == [EventRecord(1.5, 1, "a")]
 
+    def test_byte_stream_is_rejected_at_line_1(self):
+        with pytest.raises(CsvFormatError, match="line 1"):
+            read_events_csv(io.BytesIO(b"time,event,cohort\n1.5,1,a\n"))
+
 
 class TestCsvRoundTrip:
     def test_simulated_cohort_survives_round_trip(self, tmp_path):
@@ -256,6 +260,11 @@ class TestSummaryTable:
         assert without[0].observed_lgd_pct is None
         with_obs = build_summary_table({"c": fit}, horizon=24.0, observed={"c": 0.61})
         assert with_obs[0].observed_lgd_pct == pytest.approx(61.0)
+
+    def test_zt_row_leaves_recovery_columns_empty(self):
+        fit = make_fit(ModelSpec.zero_truncated(1.0, 1.0, 1.0))
+        row = build_summary_table({"c": fit}, horizon=24.0, observed={"c": 0.61})[0]
+        assert (row.theta_recovery, row.observed_lgd_pct, row.elgd_pct) == (None, None, None)
 
     def test_unconverged_rows_kept_and_flagged(self):
         fits = {
