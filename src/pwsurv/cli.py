@@ -106,10 +106,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _fit_cohorts(args) -> list:
     """Read the input and fit each cohort: (dataset, fit or the error that stopped it)."""
-    kind = None if args.model == "auto" else _KINDS[args.model]
-    datasets = read_events_csv(args.input, kind=kind)
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
+    kind = None if args.model == "auto" else _KINDS[args.model]
+    datasets = read_events_csv(args.input, kind=kind)
     options = FitOptions() if args.max_iter is None else FitOptions(max_iterations=args.max_iter)
     results = []
     for ds in datasets:

@@ -16,7 +16,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import groupby, islice, starmap
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -47,6 +47,8 @@ _HEADER = ["time", "event", "cohort"]
 
 # Lines read and parsed at a time, which bounds the reader's memory.
 _CHUNK_LINES = 16_384
+# Leading lines of a chunk that must all differ for the chunk to skip its dedupe.
+_TIE_PROBE = 64
 
 
 class CsvFormatError(ValueError):
@@ -119,49 +121,53 @@ def _parse_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time, flag and cohort-code columns of a chunk of lines, one entry per line.
 
-    ``first`` is the line number of lines[0]. Each distinct line is parsed
-    once; a blank line gets code -1 and a new cohort label the next code in
-    ``labels``.
+    ``first`` is the line number of lines[0]. A chunk whose first lines
+    repeat is deduplicated, so each distinct line is parsed once, by
+    _parse_plain or else row by row; a blank line gets code -1 and a new
+    cohort label the next code in ``labels``.
     """
 
     def error(line: str, message: str) -> CsvFormatError:
         # a line's first occurrence is the first row of the chunk to fail
         return CsvFormatError(f"line {first + lines.index(line)}: {message}")
 
-    distinct = list(dict.fromkeys(lines))
-    times, flags, codes = array("d"), array("b"), array("i")
-    reader = csv.reader(distinct)
-    try:
-        for line, row in zip(distinct, reader):
-            # only an open quote carries a field past the end of its line
-            if '"' in line and (
-                reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
-            ):
-                raise error(line, "a quoted field spans lines; each record must fit on one line")
-            if not row:
-                times.append(1.0)
-                flags.append(0)
-                codes.append(-1)
-                continue
-            if len(row) != 3:
-                raise error(line, f"expected 3 fields, got {len(row)}")
-            raw_time, raw_event, cohort = row
-            try:
-                time = float(raw_time)
-            except ValueError:
-                raise error(line, f"non-numeric time {raw_time!r}") from None
-            if not (math.isfinite(time) and time > 0.0):
-                raise error(line, f"time must be a positive finite number, got {raw_time}")
-            flag = raw_event.strip()
-            if flag not in ("0", "1"):
-                raise error(line, f"event flag must be 0 or 1, got {raw_event!r}")
-            times.append(time)
-            flags.append(flag == "1")
-            codes.append(labels.setdefault(cohort, len(labels)))
-    except csv.Error as exc:
-        raise error(distinct[reader.line_num - 1], str(exc)) from None
+    head = lines[:_TIE_PROBE]
+    distinct = lines if len(set(head)) == len(head) else list(dict.fromkeys(lines))
+    columns = _parse_plain(distinct, labels)
+    if columns is None:
+        times, flags, codes = array("d"), array("b"), array("i")
+        reader = csv.reader(distinct)
+        try:
+            for line, row in zip(distinct, reader):
+                # only an open quote carries a field past the end of its line
+                if '"' in line and (
+                    reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
+                ):
+                    raise error(line, "a quoted field spans lines; each record must fit on one line")
+                if not row:
+                    times.append(1.0)
+                    flags.append(0)
+                    codes.append(-1)
+                    continue
+                if len(row) != 3:
+                    raise error(line, f"expected 3 fields, got {len(row)}")
+                raw_time, raw_event, cohort = row
+                try:
+                    time = float(raw_time)
+                except ValueError:
+                    raise error(line, f"non-numeric time {raw_time!r}") from None
+                if not (math.isfinite(time) and time > 0.0):
+                    raise error(line, f"time must be a positive finite number, got {raw_time}")
+                flag = raw_event.strip()
+                if flag not in ("0", "1"):
+                    raise error(line, f"event flag must be 0 or 1, got {raw_event!r}")
+                times.append(time)
+                flags.append(flag == "1")
+                codes.append(labels.setdefault(cohort, len(labels)))
+        except csv.Error as exc:
+            raise error(distinct[reader.line_num - 1], str(exc)) from None
+        columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
 
-    columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
     if len(distinct) == len(lines):
         return columns
     # each line takes the entries of its distinct line
@@ -170,8 +176,44 @@ def _parse_chunk(
     return tuple(column[rows] for column in columns)
 
 
+def _parse_plain(
+    lines: list[str], labels: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns of a chunk's lines parsed at once, or None if any line needs the csv module.
+
+    Every line must be ``time,flag,cohort`` ended by LF, CRLF or the end of
+    the input, with no quote, NUL or other CR and no field over the csv field
+    size limit, a time that float() reads as positive and finite, and a flag
+    of exactly 0 or 1. Label codes are assigned only once every check passed.
+    """
+    n = len(lines)
+    # a comma also joins the lines, so the separators (comma, LF and NUL) must
+    # run comma, comma, LF, comma for every line
+    text = ",".join(lines).replace("\r\n", "\n").removesuffix("\n") + "\n"
+    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    raw = np.frombuffer(text.encode(errors="surrogatepass") + b",", np.uint8)
+    seps = raw[(raw == ord(",")) | (raw == ord("\n")) | (raw == 0)]
+    if seps.size != 4 * n or (seps.reshape(n, 4) != np.frombuffer(b",,\n,", np.uint8)).any():
+        return None
+    fields = text.replace("\n", "").split(",")
+    raw_times, raw_flags, cohorts = fields[0::3], fields[1::3], fields[2::3]
+    if raw_flags.count("0") + raw_flags.count("1") != n:
+        return None
+    try:
+        times = np.fromiter(map(float, raw_times), np.float64, count=n)
+    except ValueError:
+        return None
+    if not ((times > 0.0) & (times < math.inf)).all():
+        return None
+    flags = np.frombuffer("".join(raw_flags).encode(), np.int8) - ord("0")
+    for cohort in dict.fromkeys(cohorts):
+        labels.setdefault(cohort, len(labels))
+    return times, flags, np.fromiter(map(labels.__getitem__, cohorts), np.intc, count=n)
+
+
 def _quoted(label: str) -> str:
-    """A cohort label as csv.writer quotes it, with braces escaped for str.format.
+    """A cohort label as csv.writer quotes it, with % escaped for %-formatting.
 
     Raises ValueError for a label with a line break, which could not be read
     back: every record sits on one line.
@@ -180,12 +222,7 @@ def _quoted(label: str) -> str:
         raise ValueError(f"cohort label {label!r} contains a line break")
     buf = io.StringIO()
     csv.writer(buf).writerow([label, ""])
-    return buf.getvalue()[: -len(",\r\n")].replace("{", "{{").replace("}", "}}")
-
-
-def _event_format(label: str) -> str:
-    """Format string of one event row, time and flag, as csv.writer writes it."""
-    return "{:.17g},{}," + _quoted(label) + "\r\n"
+    return buf.getvalue()[: -len(",\r\n")].replace("%", "%%")
 
 
 def write_events_csv(records: Iterable[EventRecord], dest) -> None:
@@ -204,13 +241,16 @@ def write_events_csv(records: Iterable[EventRecord], dest) -> None:
         # one table per run of records with the same label, in their order
         runs = groupby(records, key=lambda r: r.cohort)
         tables = [EventTable(*to_arrays(run), label) for label, run in runs]
-    fmts = [_event_format(table.cohort) for table in tables]
+    # time and flag as csv.writer writes "{:.17g}" and an int
+    fmts = ["%.17g,%d," + _quoted(table.cohort) + "\r\n" for table in tables]
     dest.write(",".join(_HEADER) + "\r\n")
     for table, fmt in zip(tables, fmts):
         for start in range(0, len(table), _CHUNK_LINES):
             chunk = slice(start, start + _CHUNK_LINES)
-            times, flags = table.times[chunk].tolist(), table.flags[chunk].tolist()
-            dest.write("".join(map(fmt.format, times, flags)))
+            times = table.times[chunk].tolist()
+            values = [None] * (2 * len(times))
+            values[::2], values[1::2] = times, table.flags[chunk].tolist()
+            dest.write((fmt * len(times)) % tuple(values))
 
 
 @dataclass(frozen=True)
@@ -352,14 +392,24 @@ def dumps_fit_reports(reports: list[dict]) -> str:
 
 
 def write_overlay_csv(rows_by_cohort: Mapping[str, list[tuple[float, float, float] | tuple[float, float]]], dest, with_model: bool) -> None:
-    """KM / overlay rows as CSV: cohort,t,km[,model], cohorts sorted by label."""
+    """KM / overlay rows as CSV: cohort,t,km[,model], cohorts sorted by label.
+
+    A row of another width than the header's is a ValueError naming its cohort.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             write_overlay_csv(rows_by_cohort, handle, with_model)
         return
     header = ["cohort", "t", "km", "model"] if with_model else ["cohort", "t", "km"]
+    width = len(header) - 1
+    cohorts = sorted(rows_by_cohort)
+    for cohort in cohorts:
+        if set(map(len, rows_by_cohort[cohort])) - {width}:
+            raise ValueError(f"cohort {cohort!r}: every overlay row must hold {width} values")
+    fmts = [_quoted(cohort) + ",%.17g" * width + "\r\n" for cohort in cohorts]
     dest.write(",".join(header) + "\r\n")
-    values = ",{:.17g}" * (len(header) - 1) + "\r\n"
-    for cohort in sorted(rows_by_cohort):
-        fmt = _quoted(cohort) + values
-        dest.write("".join(starmap(fmt.format, rows_by_cohort[cohort])))
+    for cohort, fmt in zip(cohorts, fmts):
+        rows = rows_by_cohort[cohort]
+        for start in range(0, len(rows), _CHUNK_LINES):
+            chunk = rows[start : start + _CHUNK_LINES]
+            dest.write((fmt * len(chunk)) % tuple(chain.from_iterable(chunk)))

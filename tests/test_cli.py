@@ -224,6 +224,12 @@ class TestCohortFailure:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_negative_max_iter_is_rejected_before_the_input_is_read(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main([command, "--input", str(missing), "--max-iter", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --max-iter must be nonnegative\n"
+
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err

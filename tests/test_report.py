@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -34,7 +35,7 @@ from cohorts import recovery_spec
 
 
 # cohort labels that need quoting or would break a format string
-LABELS = ["2008", "a,b", 'say "x"', '"', "", "{0}", "}{", " pad "]
+LABELS = ["2008", "a,b", 'say "x"', '"', "", "{0}", "}{", " pad ", "%", "%s", "%%", "%(x)s", "{", "}"]
 
 
 def csv_text(rows, quoting=csv.QUOTE_MINIMAL):
@@ -226,6 +227,42 @@ class TestCsvRoundTrip:
         write_overlay_csv(rows, buf, with_model=with_model)
         assert buf.getvalue() == expected
 
+    def test_large_tables_match_csv_writer(self):
+        # 50,000 rows span several write chunks
+        rng = np.random.default_rng(5)
+        times, flags = rng.exponential(3.0, 50_000), rng.integers(0, 2, 50_000)
+        label = '%s{0},"'
+        table = EventTable(times, flags, label)
+        expected = csv_text(
+            [["time", "event", "cohort"]]
+            + [[f"{t:.17g}", d, label] for t, d in zip(times.tolist(), flags.tolist())]
+        )
+        buf = io.StringIO()
+        write_events_csv(table, buf)
+        assert buf.getvalue() == expected
+        rows = {label: list(zip(times.tolist(), rng.random(50_000).tolist(), rng.random(50_000).tolist()))}
+        expected = csv_text(
+            [["cohort", "t", "km", "model"]] + [[label] + [f"{v:.17g}" for v in row] for row in rows[label]]
+        )
+        buf = io.StringIO()
+        write_overlay_csv(rows, buf, with_model=True)
+        assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize(
+        "rows, with_model",
+        [
+            ({"a": [(0.0, 1.0, 0.9)]}, False),
+            ({"a": [(0.0, 1.0)]}, True),
+            ({"a": [(0.0, 1.0), (1.0,)], "b": [(0.0, 1.0)]}, False),
+            ({"0": [(0.0, 1.0, 1.0)], "a": [(0.0, 1.0, 1.0), (1.0, 0.5, 0.4, 0.3)]}, True),
+        ],
+    )
+    def test_overlay_row_of_wrong_width_names_its_cohort(self, rows, with_model):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="cohort 'a'"):
+            write_overlay_csv(rows, buf, with_model=with_model)
+        assert buf.getvalue() == ""
+
     def test_cohort_labels_with_commas_survive(self):
         recs = [EventRecord(1.0, 1, "a,b")]
         buf = io.StringIO()
@@ -341,9 +378,16 @@ class TestRenderings:
 # --- the reader against the row-by-row loop it replaced -------------------
 
 
-def row_loop_oracle(text):
+def row_loop_oracle(text, newline="\n"):
     """The reader as one loop over csv rows, with the same checks and messages."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=newline))
+    try:
+        return _row_loop(reader)
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def _row_loop(reader):
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["time", "event", "cohort"]:
         raise CsvFormatError("line 1: missing or invalid header, expected time,event,cohort")
@@ -374,30 +418,62 @@ def row_loop_oracle(text):
     ]
 
 
+@contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 TIED_TIMES = ["1", "2", "3.5", "24", "0.30000000000000004", "1e-300"]
+# times float() reads that other parsers may read differently or reject
+ODD_TIMES = ["1_0", " 1.5 ", "１２", "+7", ".5", "1e1_0"]
+# ...and times it rejects or reads as zero, negative or infinite
+BAD_TIMES = ["infinity", "-0", "1e400", "0x1p-3", "1e-400", "nan", "1__0"]
+SMALL_FIELD_LIMIT = 48
 BAD_ROWS = [
     "0,1,a", "-1,1,a", "inf,1,a", "nan,0,a", "fast,1,a", ",1,a", "1,2,a", "1,yes,a",
     "1,,a", "1,1", "1,1,a,b", " ",
+] + [f"{t},1,a" for t in BAD_TIMES] + [
+    "1,01,a", "1,10,a", "1,00,a",
 ]
+# labels csv.writer leaves unquoted, so chunks of distinct rows take the columnar parse;
+# the csv module reads a NUL as part of a label, a stream opened with
+# errors="surrogateescape" gives lone surrogates, and the long label is over the
+# field limit when it is patched down
+PLAIN_LABELS = ["2008", "", " pad ", "{0}", "%s", "１２", "a\x00b", "\udcff", "x" * (SMALL_FIELD_LIMIT + 1)]
 
 
 @st.composite
 def event_csv(draw):
-    """CSV text with heavy ties, blank lines, LF and CRLF ends, quoted labels and maybe a bad row."""
+    """CSV text with heavy ties or distinct plain rows, blank lines, LF, CRLF and bare CR ends,
+    quoted labels and maybe bad rows."""
     time_text = st.one_of(
-        st.sampled_from(TIED_TIMES),
+        st.sampled_from(TIED_TIMES + ODD_TIMES),
         st.floats(min_value=1e-300, max_value=1e300).map(repr),
     )
-    row = st.tuples(time_text, st.sampled_from(["0", "1", " 1", "0 "]), st.sampled_from(LABELS))
+    plain, tied = draw(st.booleans()), draw(st.booleans())
+    if plain:
+        row = st.tuples(time_text, st.sampled_from(["0", "1"]), st.sampled_from(PLAIN_LABELS))
+    else:
+        row = st.tuples(time_text, st.sampled_from(["0", "1", " 1", "0 "]), st.sampled_from(LABELS))
+    if tied:  # a few distinct rows, each repeated
+        row = st.sampled_from(draw(st.lists(row, min_size=1, max_size=8)))
     rows = draw(st.lists(row, max_size=40))
-    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    quoting = csv.QUOTE_MINIMAL if plain else draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     lines = [csv_text([r], quoting)[: -len("\r\n")] for r in rows]
-    bad = draw(st.sampled_from(BAD_ROWS))
-    for _ in range(draw(st.integers(0, 2))):  # a repeated bad row fails at its first line
-        lines.insert(draw(st.integers(0, len(lines))), bad)
-    for _ in range(draw(st.integers(0, 3))):
+    if plain and not tied:
+        lines = list(dict.fromkeys(lines))
+    noisy = not plain or draw(st.booleans())  # some plain files stay wholly plain
+    for bad in draw(st.lists(st.sampled_from(BAD_ROWS), max_size=2 if noisy else 0)):
+        for _ in range(draw(st.integers(1, 2))):  # a repeated bad row fails at its first line
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    for _ in range(draw(st.integers(0, 3 if noisy else 0))):
         lines.insert(draw(st.integers(0, len(lines))), "")
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    line_ends = ["\n", "\r\n", "\r"] if noisy and draw(st.booleans()) else ["\n", "\r\n"]
+    ends = draw(st.lists(st.sampled_from(line_ends), min_size=len(lines) + 1, max_size=len(lines) + 1))
     text = "time,event,cohort" + ends[0] + "".join(l + e for l, e in zip(lines, ends[1:]))
     if lines and lines[-1] and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no line end after the last record
@@ -405,19 +481,57 @@ def event_csv(draw):
 
 
 class TestReaderMatchesRowLoop:
-    @settings(max_examples=300, deadline=None)
-    @given(text=event_csv(), chunk=st.integers(1, 64))
-    def test_same_cohorts_or_same_error(self, text, chunk):
-        try:
-            expected = row_loop_oracle(text)
-        except CsvFormatError as exc:
-            expected = str(exc)
-        with patch.object(report, "_CHUNK_LINES", chunk):
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=event_csv(),
+        chunk=st.integers(1, 64),
+        newline=st.sampled_from(["\n", "", "\r", "\r\n"]),  # how the stream splits lines
+        limit=st.sampled_from([csv.field_size_limit(), SMALL_FIELD_LIMIT]),
+        probe=st.integers(1, 8),
+    )
+    def test_same_cohorts_or_same_error(self, text, chunk, newline, limit, probe):
+        with field_size_limit(limit):
             try:
-                got = [
-                    (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
-                    for ds in parse(text)
-                ]
+                expected = row_loop_oracle(text, newline)
             except CsvFormatError as exc:
-                got = str(exc)
+                expected = str(exc)
+            # a chunk whose first `probe` lines differ is parsed without its dedupe
+            with patch.object(report, "_CHUNK_LINES", chunk), patch.object(report, "_TIE_PROBE", probe):
+                try:
+                    got = [
+                        (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
+                        for ds in read_events_csv(io.StringIO(text, newline=newline))
+                    ]
+                except CsvFormatError as exc:
+                    got = str(exc)
         assert got == expected
+
+    @pytest.mark.parametrize("probe", [1, 2, 3])
+    def test_ties_after_the_probed_lines_are_kept(self, probe):
+        # probe 1 sees no tie and parses every line; 2 and 3 see one and deduplicate
+        text = "time,event,cohort\n1,1,a\n1,1,a\n2,0,b\n1,1,a\n3,1,a\n"
+        with patch.object(report, "_TIE_PROBE", probe):
+            got = [(ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist()) for ds in parse(text)]
+        assert got == [("a", [1.0, 1.0, 1.0, 3.0], [1, 1, 1, 1]), ("b", [2.0], [0])]
+
+    def test_plain_chunks_are_parsed_as_columns(self):
+        parsed = []
+
+        def spy(lines, labels, real=report._parse_plain):
+            columns = real(lines, labels)
+            parsed.append(columns is not None)
+            return columns
+
+        plain = "time,event,cohort\r\n1.5,1,a\r\n2,0,b\r\n1_0,1,a"
+        with patch.object(report, "_parse_plain", spy):
+            assert [ds.cohort for ds in parse(plain)] == ["a", "b"]
+            # a quote, a padded flag and a blank line parse with the csv module
+            for odd in ['1.5,1,"a"', "1.5, 1,a", ""]:
+                assert len(parse(plain + "\n" + odd + "\n")) == 2
+            # so do lines that fail, and only the csv module raises
+            for bad in ["1.5,1,a,", "-0,1,a", "1.5,1,a\rb", "1.5,,a\n2,01,a"]:
+                with pytest.raises(CsvFormatError, match="line 5"):
+                    parse(plain + "\n" + bad + "\n")
+            with field_size_limit(SMALL_FIELD_LIMIT), pytest.raises(CsvFormatError, match="line 5: field"):
+                parse(plain + "\n1.5,1," + "x" * (SMALL_FIELD_LIMIT + 1))
+        assert parsed == [True] + [False] * 8
