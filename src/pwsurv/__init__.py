@@ -8,103 +8,46 @@ produces the summary tables (intensities, confidence intervals, expected
 loss given default at a horizon).
 """
 
-from .distributions import (
-    LatentCountParams,
-    WeibullParams,
-    poisson_pmf,
-    weibull_cdf,
-    weibull_pdf,
-    weibull_survival,
-    zt_poisson_mean,
-    zt_poisson_pmf,
-)
-from .events import EventRecord, EventTable, to_arrays
-from .inference import (
-    FitOptions,
-    FitResult,
-    NoEventsError,
-    SingularInformationError,
-    WaldRow,
-    fit_mle,
-    format_p_value,
-    loglik_ptm,
-    loglik_zt,
-    wald_summary,
-)
-from .models import (
-    ModelKind,
-    ModelSpec,
-    cure_fraction,
-    elgd_at_horizon,
-    model_density,
-    model_survival,
-    ptm_density,
-    ptm_survival,
-    ztpw_density,
-    ztpw_survival,
-)
-from .nonparametric import KmCurve, kaplan_meier, overlay_export
-from .report import (
-    CohortDataset,
-    CsvFormatError,
-    SummaryRow,
-    build_summary_table,
-    format_fit_report,
-    format_summary_table,
-    observed_unrecovered,
-    read_events_csv,
-    write_events_csv,
-)
-from .simulation import SimConfig, sample_latent_count, simulate_cohort
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EventRecord",
-    "EventTable",
-    "to_arrays",
-    "WeibullParams",
-    "LatentCountParams",
-    "weibull_pdf",
-    "weibull_cdf",
-    "weibull_survival",
-    "poisson_pmf",
-    "zt_poisson_pmf",
-    "zt_poisson_mean",
-    "ModelKind",
-    "ModelSpec",
-    "ztpw_density",
-    "ztpw_survival",
-    "ptm_density",
-    "ptm_survival",
-    "cure_fraction",
-    "elgd_at_horizon",
-    "model_density",
-    "model_survival",
-    "KmCurve",
-    "kaplan_meier",
-    "overlay_export",
-    "FitOptions",
-    "FitResult",
-    "WaldRow",
-    "NoEventsError",
-    "SingularInformationError",
-    "fit_mle",
-    "loglik_zt",
-    "loglik_ptm",
-    "wald_summary",
-    "format_p_value",
-    "SimConfig",
-    "simulate_cohort",
-    "sample_latent_count",
-    "CohortDataset",
-    "CsvFormatError",
-    "SummaryRow",
-    "read_events_csv",
-    "write_events_csv",
-    "build_summary_table",
-    "format_summary_table",
-    "format_fit_report",
-    "observed_unrecovered",
-    "__version__",
-]
+# Each public name and its home module. The package imports a module only
+# when one of its names is first used, so `import pwsurv` (and every
+# `python -m pwsurv.cli` process) loads no submodule by itself.
+_HOMES = {
+    "events": ("EventRecord", "EventTable", "to_arrays"),
+    "distributions": (
+        "WeibullParams", "LatentCountParams", "weibull_pdf", "weibull_cdf", "weibull_survival",
+        "poisson_pmf", "zt_poisson_pmf", "zt_poisson_mean",
+    ),
+    "models": (
+        "ModelKind", "ModelSpec", "ztpw_density", "ztpw_survival", "ptm_density", "ptm_survival",
+        "cure_fraction", "elgd_at_horizon", "model_density", "model_survival",
+    ),
+    "nonparametric": ("KmCurve", "kaplan_meier", "overlay_export"),
+    "inference": (
+        "FitOptions", "FitResult", "WaldRow", "NoEventsError", "SingularInformationError",
+        "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary", "format_p_value",
+    ),
+    "simulation": ("SimConfig", "simulate_cohort", "sample_latent_count"),
+    "report": (
+        "CohortDataset", "CsvFormatError", "SummaryRow", "read_events_csv", "write_events_csv",
+        "build_summary_table", "format_summary_table", "format_fit_report", "observed_unrecovered",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,27 +11,39 @@ cohort that could not be fit, 2 when a fit fails to converge.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from importlib import import_module
 
 import numpy as np
 
 from .distributions import LatentCountParams, WeibullParams
-from .inference import FitOptions, NoEventsError, SingularInformationError, fit_mle
 from .models import ModelKind, ModelSpec
-from .nonparametric import kaplan_meier, overlay_export
-from .report import (
-    CsvFormatError,
-    build_summary_table,
-    dumps_fit_reports,
-    fit_report_dict,
-    format_fit_report,
-    format_summary_table,
-    observed_unrecovered,
-    read_events_csv,
-    write_events_csv,
-    write_overlay_csv,
-)
-from .simulation import SimConfig, simulate_cohort
+
+
+def _deferred(module: str, name: str):
+    """`pwsurv.<module>.<name>`, imported on its first call: a subcommand loads only what it runs."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    return call
+
+
+# The handlers look these names up here at call time, so bench/tracing.py can swap them.
+fit_mle = _deferred("inference", "fit_mle")
+kaplan_meier = _deferred("nonparametric", "kaplan_meier")
+overlay_export = _deferred("nonparametric", "overlay_export")
+build_summary_table = _deferred("report", "build_summary_table")
+dumps_fit_reports = _deferred("report", "dumps_fit_reports")
+fit_report_dict = _deferred("report", "fit_report_dict")
+format_fit_report = _deferred("report", "format_fit_report")
+format_summary_table = _deferred("report", "format_summary_table")
+observed_unrecovered = _deferred("report", "observed_unrecovered")
+read_events_csv = _deferred("report", "read_events_csv")
+write_events_csv = _deferred("report", "write_events_csv")
+write_overlay_csv = _deferred("report", "write_overlay_csv")
+simulate_cohort = _deferred("simulation", "simulate_cohort")
 
 _KINDS = {"zt": ModelKind.ZERO_TRUNCATED, "ptm": ModelKind.PROMOTION_TIME}
 
@@ -106,6 +118,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _fit_cohorts(args) -> list:
     """Read the input and fit each cohort: (dataset, fit or the error that stopped it)."""
+    from .inference import FitOptions, SingularInformationError
+
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
     kind = None if args.model == "auto" else _KINDS[args.model]
@@ -115,7 +129,7 @@ def _fit_cohorts(args) -> list:
     for ds in datasets:
         try:
             results.append((ds, fit_mle(ds.records, ds.kind, options)))
-        except (NoEventsError, SingularInformationError, ValueError) as exc:
+        except (SingularInformationError, ValueError) as exc:  # NoEventsError is a ValueError
             results.append((ds, exc))
     return results
 
@@ -148,6 +162,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulation import SimConfig
+
     model = ModelSpec(
         kind=_KINDS[args.model],
         theta=LatentCountParams(args.theta),
@@ -214,10 +230,22 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return handlers[args.command](args)
-    except (_UsageError, CsvFormatError, NoEventsError, SingularInformationError, ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+def _process_main() -> int:
+    """Entry point of a `pwsurv` process (console script and `python -m pwsurv.cli`).
+
+    Freezing the heap moves every live object to the permanent generation,
+    which the collections at interpreter shutdown skip. `main` itself does
+    not freeze, because tests call it in process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_process_main())

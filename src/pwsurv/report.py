@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .distributions import zt_poisson_mean
 from .events import EventRecord, EventTable, to_arrays
-from .inference import FitResult, wald_summary
 from .models import ModelKind, cure_fraction, elgd_at_horizon
-from .nonparametric import kaplan_meier
+
+# inference and nonparametric load inside the functions that use them, so `simulate` runs
+# without either and `km` without inference
+if TYPE_CHECKING:
+    from .inference import FitResult
 
 __all__ = [
     "CohortDataset",
@@ -267,6 +269,8 @@ class SummaryRow:
 
 def observed_unrecovered(records: Iterable[EventRecord], horizon: float) -> float:
     """Empirical fraction still unrecovered at the horizon (KM estimate)."""
+    from .nonparametric import kaplan_meier
+
     return kaplan_meier(records).survival_at(horizon)
 
 
@@ -365,6 +369,8 @@ def fit_report_dict(cohort: str, fit: FitResult, horizon: float) -> dict:
     converged fit; the zero-truncated model adds its latent mean, the
     promotion-time model its cure fraction and ELGD at the horizon.
     """
+    from .inference import wald_summary
+
     theta, shape, scale = fit.model.params()
     out = {
         "cohort": cohort,
@@ -388,6 +394,8 @@ def fit_report_dict(cohort: str, fit: FitResult, horizon: float) -> dict:
 
 def dumps_fit_reports(reports: list[dict]) -> str:
     """JSON document for a list of fit_report_dict outputs."""
+    import json
+
     return json.dumps({"fits": reports}, indent=2, sort_keys=False)
 
 

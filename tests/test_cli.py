@@ -1,11 +1,26 @@
-"""End-to-end command-line flows through main(argv)."""
+"""End-to-end command-line flows through main(argv) and through fresh processes."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pwsurv
+import pwsurv.cli as cli
 from pwsurv.cli import main
+
+SRC = Path(pwsurv.__file__).resolve().parent.parent
+
+
+def python(*args, cwd=None):
+    """Run a fresh interpreter with this checkout's pwsurv on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, check=False)
 
 
 @pytest.fixture()
@@ -237,3 +252,80 @@ class TestUsageErrors:
     def test_missing_required_flag_exit_1(self, capsys):
         assert main(["simulate", "--model", "zt"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
+        # main reports bad input and options; a defect must not pass as exit code 1
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken simulator")
+
+        monkeypatch.setattr(cli, "simulate_cohort", broken)
+        with pytest.raises(RuntimeError, match="broken simulator"):
+            main(["simulate", "--model", "zt", "--theta", "1", "--shape", "1", "--scale", "1",
+                  "--n", "10", "--horizon", "inf", "--out", str(tmp_path / "x.csv")])
+
+
+class TestChildProcess:
+    """`python -m pwsurv.cli` writes byte for byte what main(argv) writes, with its exit code."""
+
+    def test_simulate_file(self, tmp_path):
+        args = ["simulate", "--model", "ptm", "--theta", "0.8", "--shape", "1.2", "--scale", "10.0",
+                "--n", "400", "--horizon", "24", "--seed", "2", "--cohort", "2011", "--out"]
+        child = python("-m", "pwsurv.cli", *args, "child.csv", cwd=tmp_path)
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+        assert main(args + [str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    @pytest.mark.parametrize("args", [["fit", "--format", "json"], ["km"], ["report", "--horizon", "12"]])
+    def test_stdout(self, args, ptm_csv, capsys):
+        args = args + ["--input", str(ptm_csv)]
+        child = python("-m", "pwsurv.cli", *args)
+        assert main(args) == child.returncode == 0
+        assert capsys.readouterr().out.encode() == child.stdout
+
+    def test_km_file(self, sim_csv, tmp_path):
+        args = ["km", "--input", str(sim_csv), "--overlay-model", "zt", "--overlay-theta", "2",
+                "--overlay-shape", "1.5", "--overlay-scale", "3", "--out"]
+        child = python("-m", "pwsurv.cli", *args, "child.csv", cwd=tmp_path)
+        assert main(args + [str(tmp_path / "main.csv")]) == child.returncode == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    def test_malformed_csv_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,event,cohort\n1.0,7,a\n")
+        child = python("-m", "pwsurv.cli", "fit", "--input", str(bad))
+        assert main(["fit", "--input", str(bad)]) == child.returncode == 1
+        assert capsys.readouterr().err.encode() == child.stderr
+
+    def test_nonconvergence_exit_2(self, sim_csv, capsys):
+        args = ["fit", "--input", str(sim_csv), "--max-iter", "1"]
+        child = python("-m", "pwsurv.cli", *args)
+        assert main(args) == child.returncode == 2
+        assert capsys.readouterr().out.encode() == child.stdout
+
+
+def loaded_modules(code, cwd=None):
+    """The pwsurv submodules, and numpy if loaded, in sys.modules of a fresh interpreter after `code`."""
+    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('pwsurv.') or m == 'numpy'))"
+    child = python("-c", f"{code}\n{report}", cwd=cwd)
+    assert child.returncode == 0, child.stderr.decode()
+    return set(child.stdout.decode().split())
+
+
+class TestModulesLoaded:
+    """Each process imports only the modules its subcommand runs."""
+
+    def test_package_import_loads_nothing(self):
+        assert loaded_modules("import pwsurv") == set()
+
+    def test_simulate(self, tmp_path):
+        argv = ["simulate", "--model", "zt", "--theta", "1", "--shape", "1", "--scale", "1",
+                "--n", "10", "--horizon", "inf", "--out", "x.csv"]
+        loaded = loaded_modules(f"from pwsurv.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
+        assert "pwsurv.simulation" in loaded
+        assert not loaded & {"pwsurv.inference", "pwsurv.nonparametric"}
+
+    def test_km(self, sim_csv, tmp_path):
+        argv = ["km", "--input", str(sim_csv), "--out", "km.csv"]
+        loaded = loaded_modules(f"from pwsurv.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
+        assert "pwsurv.nonparametric" in loaded
+        assert not loaded & {"pwsurv.inference", "pwsurv.simulation"}
