@@ -17,12 +17,9 @@ __version__ = "0.1.0"
 # `python -m pwsurv.cli` process) loads no submodule by itself.
 _HOMES = {
     "events": ("EventRecord", "EventTable", "to_arrays"),
-    "distributions": (
-        "WeibullParams", "LatentCountParams", "weibull_pdf", "weibull_cdf", "weibull_survival",
-        "poisson_pmf", "zt_poisson_pmf", "zt_poisson_mean",
-    ),
+    "distributions": ("WeibullParams", "LatentCountParams", "weibull_pdf", "zt_poisson_mean"),
     "models": (
-        "ModelKind", "ModelSpec", "ztpw_density", "ztpw_survival", "ptm_density", "ptm_survival",
+        "ModelKind", "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",
         "cure_fraction", "elgd_at_horizon", "model_density", "model_survival",
     ),
     "nonparametric": ("KmCurve", "kaplan_meier", "overlay_export"),
@@ -30,7 +27,7 @@ _HOMES = {
         "FitOptions", "FitResult", "WaldRow", "NoEventsError", "SingularInformationError",
         "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary", "format_p_value",
     ),
-    "simulation": ("SimConfig", "simulate_cohort", "sample_latent_count"),
+    "simulation": ("SimConfig", "simulate_cohort"),
     "report": (
         "CohortDataset", "CsvFormatError", "SummaryRow", "read_events_csv", "write_events_csv",
         "build_summary_table", "format_summary_table", "format_fit_report", "observed_unrecovered",

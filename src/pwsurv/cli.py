@@ -122,6 +122,8 @@ def _fit_cohorts(args) -> list:
 
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
+    if not args.horizon > 0.0:  # also NaN; inf is allowed
+        raise ValueError("--horizon must be positive")
     kind = None if args.model == "auto" else _KINDS[args.model]
     datasets = read_events_csv(args.input, kind=kind)
     options = FitOptions() if args.max_iter is None else FitOptions(max_iterations=args.max_iter)

@@ -1,12 +1,11 @@
-"""Elementary probability kernels: Weibull event times and Poisson risk counts.
+"""Elementary kernels: the Weibull terms both model kinds build on, and the zero-truncated Poisson mean.
 
-Functions accept a scalar or numpy array for the time/count argument and
-return a matching scalar or array.
+`weibull_pdf` accepts a scalar or numpy array of times and returns a matching
+scalar or array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +14,6 @@ __all__ = [
     "WeibullParams",
     "LatentCountParams",
     "weibull_pdf",
-    "weibull_cdf",
-    "weibull_survival",
-    "poisson_pmf",
-    "zt_poisson_pmf",
     "zt_poisson_mean",
 ]
 
@@ -35,11 +30,6 @@ class WeibullParams:
             raise ValueError(f"shape must be a positive finite number, got {self.shape!r}")
         if not (np.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be a positive finite number, got {self.scale!r}")
-
-    @classmethod
-    def from_rate(cls, shape: float, rate: float) -> "WeibullParams":
-        """Convert from the rate convention F(t) = 1 - exp(-(rate*t)^shape)."""
-        return cls(shape=shape, scale=1.0 / rate)
 
 
 @dataclass(frozen=True)
@@ -58,10 +48,6 @@ class LatentCountParams:
             raise ValueError(f"theta must be a nonnegative finite number, got {self.theta!r}")
 
 
-# log Gamma, elementwise over count arrays
-_gammaln = np.vectorize(math.lgamma, otypes=[float])
-
-
 def _as_time(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
@@ -71,17 +57,6 @@ def _as_time(t) -> np.ndarray:
 
 def _ret(values: np.ndarray, arr: np.ndarray):
     return float(values) if arr.ndim == 0 else values
-
-
-def _as_count(m, minimum: int) -> np.ndarray:
-    arr = np.asarray(m)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.equal(np.mod(arr, 1), 0)):
-            raise ValueError(f"count must be integer valued, got {m!r}")
-        arr = arr.astype(int)
-    if np.any(arr < minimum):
-        raise ValueError(f"count must be >= {minimum}, got {m!r}")
-    return arr
 
 
 def _check_theta(theta: float) -> float:
@@ -110,33 +85,6 @@ def weibull_pdf(t, p: WeibullParams):
     """Density (shape/scale) * (t/scale)^(shape-1) * exp(-(t/scale)^shape)."""
     arr = _as_time(t)
     return _ret(np.exp(_weibull_log_terms(arr, p)[0]), arr)
-
-
-def weibull_cdf(t, p: WeibullParams):
-    """F(t) = 1 - exp(-(t/scale)^shape)."""
-    arr = _as_time(t)
-    return _ret(-np.expm1(-_weibull_log_terms(arr, p)[1]), arr)
-
-
-def weibull_survival(t, p: WeibullParams):
-    """S(t) = exp(-(t/scale)^shape), the complement of weibull_cdf."""
-    arr = _as_time(t)
-    return _ret(np.exp(-_weibull_log_terms(arr, p)[1]), arr)
-
-
-def poisson_pmf(m, theta: float):
-    """P(M = m) = theta^m exp(-theta) / m! for m = 0, 1, 2, ..."""
-    theta = _check_theta(theta)
-    arr = _as_count(m, minimum=0)
-    out = np.exp(arr * np.log(theta) - theta - _gammaln(arr + 1.0))
-    return _ret(out, np.asarray(m))
-
-
-def zt_poisson_pmf(m, theta: float):
-    """Zero-truncated pmf theta^m / (m! (exp(theta) - 1)) for m = 1, 2, ..."""
-    theta = _check_theta(theta)
-    arr = _as_count(m, minimum=1)
-    return poisson_pmf(arr, theta) * (_zt_mean(theta) / theta)
 
 
 def zt_poisson_mean(theta: float) -> float:

@@ -26,8 +26,6 @@ __all__ = [
     "NoEventsError",
     "SingularInformationError",
     "WaldRow",
-    "PARAM_NAMES",
-    "Z_95",
     "loglik_zt",
     "loglik_ptm",
     "fit_mle",
@@ -506,17 +504,15 @@ def format_p_value(p: float) -> str:
     return "< 0.0001" if p < 1e-4 else f"{p:.4f}"
 
 
-def wald_summary(f: FitResult, null_values: Sequence[float] | float = 0.0) -> list[WaldRow]:
+def wald_summary(f: FitResult) -> list[WaldRow]:
     """Per-parameter Wald rows (estimate, SE, CI, p) for a converged fit.
 
-    The p-value tests each parameter against the corresponding null value
-    (default 0) using the normal approximation.
+    The p-value tests each parameter against 0 using the normal approximation.
     """
     if not f.converged:
         raise ValueError("wald_summary requires a converged fit")
-    nulls = np.broadcast_to(np.asarray(null_values, dtype=float), (3,))
     estimates = f.estimates
-    p = _two_sided_p((estimates - nulls) / f.se)
+    p = _two_sided_p(estimates / f.se)
     return [
         WaldRow(
             parameter=PARAM_NAMES[i],

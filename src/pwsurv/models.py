@@ -39,7 +39,6 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "ztpw_density",
-    "ztpw_survival",
     "ptm_density",
     "ptm_survival",
     "cure_fraction",
@@ -99,12 +98,6 @@ def ztpw_density(t, m: ModelSpec):
     """
     _require_kind(m, ModelKind.ZERO_TRUNCATED)
     return model_density(t, m)
-
-
-def ztpw_survival(t, m: ModelSpec):
-    """Survival of the zero-truncated model: (exp(theta*S(t)) - 1) / (exp(theta) - 1)."""
-    _require_kind(m, ModelKind.ZERO_TRUNCATED)
-    return model_survival(t, m)
 
 
 def ptm_density(t, m: ModelSpec):

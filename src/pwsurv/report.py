@@ -40,9 +40,6 @@ __all__ = [
     "observed_unrecovered",
     "format_summary_table",
     "format_fit_report",
-    "fit_report_dict",
-    "dumps_fit_reports",
-    "write_overlay_csv",
 ]
 
 _HEADER = ["time", "event", "cohort"]

@@ -18,7 +18,7 @@ import numpy as np
 from .events import EventTable
 from .models import ModelKind, ModelSpec
 
-__all__ = ["SimConfig", "sample_latent_count", "simulate_cohort"]
+__all__ = ["SimConfig", "simulate_cohort"]
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,6 @@ def _latent_count(kind: ModelKind, theta: float, u, counts: np.random.Generator)
         return counts.poisson(theta, np.shape(u))
     first = -np.log1p(u * math.expm1(-theta)) / theta
     return 1 + counts.poisson(theta * (1.0 - first))
-
-
-def sample_latent_count(kind: ModelKind, theta: float, rng: np.random.Generator) -> int:
-    """Draw the latent cause count M for one subject.
-
-    Poisson(theta) for the promotion-time kind (M = 0 means cured);
-    zero-truncated Poisson for the zero-truncated kind, so the draw is
-    always >= 1.
-    """
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"theta must be a positive finite number, got {theta!r}")
-    return int(_latent_count(kind, theta, rng.random(), rng))
 
 
 def simulate_cohort(cfg: SimConfig, cohort: str = "sim") -> EventTable:

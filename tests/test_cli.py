@@ -245,6 +245,23 @@ class TestUsageErrors:
         assert main([command, "--input", str(missing), "--max-iter", "-1"]) == 1
         assert capsys.readouterr().err == "error: --max-iter must be nonnegative\n"
 
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    @pytest.mark.parametrize("horizon", ["-5", "0", "nan"])
+    def test_bad_horizon_is_rejected_before_the_input_is_read(self, command, horizon, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main([command, "--input", str(missing), "--horizon", horizon]) == 1
+        assert capsys.readouterr().err == "error: --horizon must be positive\n"
+
+    @pytest.mark.parametrize("data", ["sim_csv", "ptm_csv"])
+    def test_fit_rejects_negative_horizon_before_fitting(self, data, request, capsys):
+        # rejected before any cohort is fit, whether or not its kind reads the horizon
+        assert main(["fit", "--input", str(request.getfixturevalue(data)), "--horizon", "-5"]) == 1
+        assert capsys.readouterr() == ("", "error: --horizon must be positive\n")
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_infinite_horizon_is_allowed(self, command, ptm_csv):
+        assert main([command, "--input", str(ptm_csv), "--horizon", "inf", "--out", str(ptm_csv) + ".out"]) == 0
+
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -370,11 +370,6 @@ class TestWaldSummary:
             z = est / se
             assert row.p_value == pytest.approx(math.erfc(abs(z) / math.sqrt(2.0)), rel=1e-12)
 
-    def test_null_values_shift_p(self, fit):
-        rows = wald_summary(fit, null_values=fit.estimates)
-        for row in rows:
-            assert row.p_value == pytest.approx(1.0)
-
     def test_far_tail_renders_as_below_threshold(self):
         # z = 43.7 is far beyond any printable tail mass
         z = 43.7

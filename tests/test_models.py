@@ -15,7 +15,6 @@ from pwsurv import (
     ptm_survival,
     weibull_pdf,
     ztpw_density,
-    ztpw_survival,
 )
 
 from cohorts import DEFAULT_FITS, RECOVERY_FITS, default_spec, recovery_spec
@@ -56,7 +55,6 @@ class TestModelSpec:
         ptm = ModelSpec.promotion_time(0.8, 1.2, 10.0)
         assert model_density(1.3, zt) == ztpw_density(1.3, zt)
         assert model_density(1.3, ptm) == ptm_density(1.3, ptm)
-        assert model_survival(1.3, zt) == ztpw_survival(1.3, zt)
         assert model_survival(1.3, ptm) == ptm_survival(1.3, ptm)
 
 
@@ -70,17 +68,17 @@ class TestZeroTruncatedModel:
     def test_density_is_negative_survival_slope(self, m):
         for t in grid_for(m)[:-1]:
             h = 1e-6 * max(1.0, t)
-            slope = (ztpw_survival(t + h, m) - ztpw_survival(t - h, m)) / (2.0 * h)
+            slope = (model_survival(t + h, m) - model_survival(t - h, m)) / (2.0 * h)
             assert ztpw_density(t, m) == pytest.approx(-slope, rel=1e-5, abs=1e-12)
 
     def test_survival_boundary_values(self):
         m = ModelSpec.zero_truncated(2.9149, 2.7082, 0.2223)
-        assert ztpw_survival(0.0, m) == pytest.approx(1.0, rel=1e-14)
-        assert ztpw_survival(1e9, m) == 0.0
+        assert model_survival(0.0, m) == pytest.approx(1.0, rel=1e-14)
+        assert model_survival(1e9, m) == 0.0
 
     def test_frozen_reference_points(self):
         m = ModelSpec.zero_truncated(2.9149, 2.7082, 0.2223)
-        assert ztpw_survival(0.2223, m) == pytest.approx(0.11017304021115465, rel=1e-13)
+        assert model_survival(0.2223, m) == pytest.approx(0.11017304021115465, rel=1e-13)
         assert ztpw_density(0.2223, m) == pytest.approx(2.188055182394875, rel=1e-13)
 
     def test_reduces_to_weibull_as_theta_vanishes(self):
@@ -92,7 +90,7 @@ class TestZeroTruncatedModel:
 
     def test_large_theta_branch_is_finite_and_normalized(self):
         m = ModelSpec.zero_truncated(800.0, 1.5, 3.0)
-        s = ztpw_survival(np.array([0.001, 0.01, 0.1]), m)
+        s = model_survival(np.array([0.001, 0.01, 0.1]), m)
         assert np.all(np.isfinite(s))
         assert np.all(np.diff(s) < 0)
         total, _ = quad(lambda t: ztpw_density(t, m), 0.0, np.inf, limit=200)
@@ -101,7 +99,7 @@ class TestZeroTruncatedModel:
     @pytest.mark.parametrize("m", ZT_SPECS, ids=sorted(DEFAULT_FITS))
     def test_survival_monotone_from_one_to_zero(self, m):
         g = grid_for(m)
-        s = ztpw_survival(g, m)
+        s = model_survival(g, m)
         assert np.all(np.diff(s) <= 0)
         assert s[0] < 1.0 and s[-1] >= 0.0
 
@@ -115,7 +113,7 @@ class TestZeroTruncatedModel:
         cured = cure_fraction(twin)
         conditioned = (ptm_survival(g, twin) - cured) / (1.0 - cured)
         np.testing.assert_allclose(
-            ztpw_survival(g, m), conditioned, rtol=1e-12, atol=1e-14
+            model_survival(g, m), conditioned, rtol=1e-12, atol=1e-14
         )
 
 

@@ -16,6 +16,12 @@ def test_name_is_its_home_module_object(name):
     assert getattr(import_module(obj.__module__), name) is obj
 
 
+@pytest.mark.parametrize("module", sorted(pwsurv._HOMES))
+def test_module_all_is_its_homes_entry(module):
+    # one list of public names: a module exports exactly what the package does
+    assert sorted(import_module(f"pwsurv.{module}").__all__) == sorted(pwsurv._HOMES[module])
+
+
 def test_dir_lists_all():
     assert set(pwsurv.__all__) <= set(dir(pwsurv))
 

@@ -9,12 +9,12 @@ from pwsurv import (
     ModelKind,
     ModelSpec,
     SimConfig,
-    sample_latent_count,
+    model_survival,
+    ptm_survival,
     simulate_cohort,
-    weibull_cdf,
     zt_poisson_mean,
-    ztpw_survival,
 )
+from pwsurv.simulation import _latent_count
 
 from cohorts import default_spec, recovery_spec
 
@@ -36,42 +36,36 @@ class TestSimConfig:
         SimConfig(model=zt, n=5, horizon=math.inf, seed=0)
 
 
-class TestLatentCountSampler:
-    def test_theta_validation(self):
-        rng = np.random.default_rng(0)
-        for theta in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                sample_latent_count(ModelKind.ZERO_TRUNCATED, theta, rng)
-            with pytest.raises(ValueError):
-                sample_latent_count(ModelKind.PROMOTION_TIME, theta, rng)
+def latent_counts(kind: ModelKind, theta: float, n: int, seed: int) -> np.ndarray:
+    """One column of n latent counts, drawn as simulate_cohort draws M."""
+    rng = np.random.default_rng(seed)
+    return _latent_count(kind, theta, rng.random(n), rng)
 
+
+class TestLatentCountSampler:
     def test_truncated_draws_never_zero(self):
         # theta near zero is the stress case: the untruncated mass at zero
         # would be about 0.95
-        rng = np.random.default_rng(1)
-        draws = [sample_latent_count(ModelKind.ZERO_TRUNCATED, 0.05, rng) for _ in range(10**6)]
-        assert min(draws) >= 1
+        draws = latent_counts(ModelKind.ZERO_TRUNCATED, 0.05, 10**6, seed=1)
+        assert draws.min() >= 1
 
     def test_truncated_mean_matches_closed_form(self):
-        rng = np.random.default_rng(2)
-        draws = [sample_latent_count(ModelKind.ZERO_TRUNCATED, 1.4644, rng) for _ in range(10**5)]
+        draws = latent_counts(ModelKind.ZERO_TRUNCATED, 1.4644, 10**5, seed=2)
         assert np.mean(draws) == pytest.approx(zt_poisson_mean(1.4644), abs=0.02)
         assert np.mean(draws) == pytest.approx(1.9048, abs=0.02)
 
     @pytest.mark.parametrize("theta", [5000.0, 20000.0])
     def test_truncated_mean_beyond_exp_overflow(self, theta):
         # e^theta overflows a double for theta above about 709
-        rng = np.random.default_rng(4)
         n = 2000
-        draws = [sample_latent_count(ModelKind.ZERO_TRUNCATED, theta, rng) for _ in range(n)]
+        draws = latent_counts(ModelKind.ZERO_TRUNCATED, theta, n, seed=4)
         se = math.sqrt(theta / n)  # the variance is theta to within e^-theta
         assert abs(np.mean(draws) - zt_poisson_mean(theta)) < 4.0 * se
 
     def test_poisson_zero_fraction(self):
-        rng = np.random.default_rng(3)
         theta = 3.0614
-        draws = [sample_latent_count(ModelKind.PROMOTION_TIME, theta, rng) for _ in range(10**5)]
-        assert np.mean(np.array(draws) == 0) == pytest.approx(math.exp(-theta), abs=0.005)
+        draws = latent_counts(ModelKind.PROMOTION_TIME, theta, 10**5, seed=3)
+        assert np.mean(draws == 0) == pytest.approx(math.exp(-theta), abs=0.005)
 
 
 class TestSimulateCohort:
@@ -141,7 +135,7 @@ class TestDistributionalConsistency:
         times = np.array([r.time for r in recs])
         grid = np.linspace(0.02, 0.6, 80)
         emp = np.array([(times > t).mean() for t in grid])
-        model = ztpw_survival(grid, m)
+        model = model_survival(grid, m)
         assert np.max(np.abs(emp - model)) < 1.63 / math.sqrt(n)
 
     def test_ptm_empirical_survival_matches_closed_form(self):
@@ -153,8 +147,7 @@ class TestDistributionalConsistency:
         # survivor function is exact
         grid = np.linspace(0.5, 23.5, 80)
         emp = np.array([(times > t).mean() for t in grid])
-        theta = m.theta.theta
-        model = np.exp(-theta * weibull_cdf(grid, m.weibull))
+        model = ptm_survival(grid, m)
         assert np.max(np.abs(emp - model)) < 1.63 / math.sqrt(n)
 
     def test_censored_fraction_matches_model_survival_at_horizon(self):
@@ -162,7 +155,7 @@ class TestDistributionalConsistency:
         n = 20000
         recs = simulate_cohort(SimConfig(model=m, n=n, horizon=24.0, seed=1))
         frac = sum(1 for r in recs if r.event == 0) / n
-        p = math.exp(-m.theta.theta * weibull_cdf(24.0, m.weibull))
+        p = ptm_survival(24.0, m)
         assert abs(frac - p) < 3.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_nonrecovered_fraction_anchor_2007(self):
