@@ -22,7 +22,7 @@ _HOMES = {
         "ModelKind", "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",
         "cure_fraction", "elgd_at_horizon", "model_density", "model_survival",
     ),
-    "nonparametric": ("KmCurve", "kaplan_meier", "overlay_export"),
+    "nonparametric": ("KmCurve", "kaplan_meier"),
     "inference": (
         "FitOptions", "FitResult", "WaldRow", "NoEventsError", "SingularInformationError",
         "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary", "format_p_value",

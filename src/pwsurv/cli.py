@@ -18,7 +18,7 @@ from importlib import import_module
 import numpy as np
 
 from .distributions import LatentCountParams, WeibullParams
-from .models import ModelKind, ModelSpec
+from .models import ModelKind, ModelSpec, model_survival
 
 
 def _deferred(module: str, name: str):
@@ -33,7 +33,6 @@ def _deferred(module: str, name: str):
 # The handlers look these names up here at call time, so bench/tracing.py can swap them.
 fit_mle = _deferred("inference", "fit_mle")
 kaplan_meier = _deferred("nonparametric", "kaplan_meier")
-overlay_export = _deferred("nonparametric", "overlay_export")
 build_summary_table = _deferred("report", "build_summary_table")
 dumps_fit_reports = _deferred("report", "dumps_fit_reports")
 fit_report_dict = _deferred("report", "fit_report_dict")
@@ -163,14 +162,14 @@ def _cmd_fit(args) -> int:
     return _exit_code(results)
 
 
+def _model_spec(kind: str, theta: float, shape: float, scale: float) -> ModelSpec:
+    return ModelSpec(_KINDS[kind], LatentCountParams(theta), WeibullParams(shape, scale))
+
+
 def _cmd_simulate(args) -> int:
     from .simulation import SimConfig
 
-    model = ModelSpec(
-        kind=_KINDS[args.model],
-        theta=LatentCountParams(args.theta),
-        weibull=WeibullParams(shape=args.shape, scale=args.scale),
-    )
+    model = _model_spec(args.model, args.theta, args.shape, args.scale)
     config = SimConfig(model=model, n=args.n, horizon=args.horizon, seed=args.seed)
     records = simulate_cohort(config, cohort=args.cohort)
     write_events_csv(records, args.out)
@@ -178,28 +177,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_km(args) -> int:
-    overlay_args = (args.overlay_model, args.overlay_theta, args.overlay_shape, args.overlay_scale)
-    want_overlay = any(v is not None for v in overlay_args)
-    if want_overlay and any(v is None for v in overlay_args):
+    overlay = (args.overlay_model, args.overlay_theta, args.overlay_shape, args.overlay_scale)
+    if None in overlay and any(v is not None for v in overlay):
         raise ValueError("overlay needs --overlay-model, --overlay-theta, --overlay-shape and --overlay-scale")
-    model = None
-    if want_overlay:
-        model = ModelSpec(
-            kind=_KINDS[args.overlay_model],
-            theta=LatentCountParams(args.overlay_theta),
-            weibull=WeibullParams(shape=args.overlay_shape, scale=args.overlay_scale),
-        )
-    datasets = read_events_csv(args.input)
-    rows_by_cohort = {}
-    for ds in datasets:
+    model = None if None in overlay else _model_spec(*overlay)
+    columns = {}
+    for ds in read_events_csv(args.input):
         curve = kaplan_meier(ds.records)
-        grid = np.concatenate(([0.0], curve.times))
-        if model is None:
-            km_vals = curve.survival_at(grid)
-            rows_by_cohort[ds.cohort] = list(zip(grid.tolist(), km_vals.tolist()))
-        else:
-            rows_by_cohort[ds.cohort] = overlay_export(curve, model, grid)
-    write_overlay_csv(rows_by_cohort, args.out or sys.stdout, with_model=model is not None)
+        # the curve's value at 0 and at each of its own steps
+        t = np.concatenate(([0.0], curve.times))
+        columns[ds.cohort] = [t, np.concatenate(([1.0], curve.survival))]
+        if model is not None:
+            columns[ds.cohort].append(model_survival(t, model))
+    write_overlay_csv(columns, args.out or sys.stdout, with_model=model is not None)
     return 0
 
 

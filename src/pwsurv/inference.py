@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import LatentCountParams, WeibullParams
-from .events import EventRecord, EventTable, to_arrays
+from .events import EventRecord, to_arrays
 from .models import ModelKind, ModelSpec, _log_lead, _require_kind
-from .nonparametric import KmCurve, kaplan_meier
+from .nonparametric import KmCurve, _product_limit
 
 __all__ = [
     "FitOptions",
@@ -295,7 +295,7 @@ def _ptm_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
 
 
 def _initial_params(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    curve = kaplan_meier(EventTable(times, flags))
+    curve = _product_limit(times, flags)
     if kind is ModelKind.ZERO_TRUNCATED:
         shape0, scale0 = _km_weibull_init(curve, times)
         theta0 = 1.0

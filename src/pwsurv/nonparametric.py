@@ -1,16 +1,15 @@
-"""Kaplan-Meier product-limit estimation and model-vs-KM overlay data."""
+"""Kaplan-Meier product-limit estimation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .events import EventRecord, to_arrays
-from .models import ModelSpec, model_survival
 
-__all__ = ["KmCurve", "kaplan_meier", "overlay_export"]
+__all__ = ["KmCurve", "kaplan_meier"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +43,11 @@ def kaplan_meier(data: Iterable[EventRecord]) -> KmCurve:
     t_i. A censored subject leaves the risk set after its time, so a censoring
     tied with an event at the same time still counts as at risk there.
     """
-    times, flags = to_arrays(data)
+    return _product_limit(*to_arrays(data))
+
+
+def _product_limit(times: np.ndarray, flags: np.ndarray) -> KmCurve:
+    """kaplan_meier of a time column and its 0/1 event-flag column."""
     if times.size == 0:
         raise ValueError("kaplan_meier requires a nonempty dataset")
 
@@ -53,21 +56,3 @@ def kaplan_meier(data: Iterable[EventRecord]) -> KmCurve:
     survival = np.cumprod(1.0 - deaths / at_risk)
 
     return KmCurve(times=event_times, survival=survival, at_risk=at_risk.astype(int), events=deaths)
-
-
-def overlay_export(
-    curve: KmCurve, m: ModelSpec, grid: Sequence[float]
-) -> list[tuple[float, float, float]]:
-    """Rows of (t, KM step estimate, model survival) on the given time grid.
-
-    The grid must be sorted ascending and nonnegative. Output is plain tuples,
-    ready for any plotting tool or CSV writer.
-    """
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("grid must be one-dimensional")
-    if arr.size and (np.any(arr < 0.0) or np.any(np.diff(arr) < 0.0)):
-        raise ValueError("grid must be sorted ascending and nonnegative")
-    km = np.atleast_1d(curve.survival_at(arr))
-    model = np.atleast_1d(model_survival(arr, m))
-    return list(zip(arr.tolist(), km.tolist(), model.tolist()))

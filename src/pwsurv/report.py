@@ -15,9 +15,9 @@ import io
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -230,10 +230,6 @@ def write_events_csv(records: Iterable[EventRecord], dest) -> None:
     Rows end in CRLF, as csv.writer writes them. A cohort label may not
     contain a line break (ValueError).
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            write_events_csv(records, handle)
-        return
     if isinstance(records, EventTable):
         tables = [records]
     else:
@@ -241,15 +237,29 @@ def write_events_csv(records: Iterable[EventRecord], dest) -> None:
         runs = groupby(records, key=lambda r: r.cohort)
         tables = [EventTable(*to_arrays(run), label) for label, run in runs]
     # time and flag as csv.writer writes "{:.17g}" and an int
-    fmts = ["%.17g,%d," + _quoted(table.cohort) + "\r\n" for table in tables]
-    dest.write(",".join(_HEADER) + "\r\n")
-    for table, fmt in zip(tables, fmts):
-        for start in range(0, len(table), _CHUNK_LINES):
-            chunk = slice(start, start + _CHUNK_LINES)
-            times = table.times[chunk].tolist()
-            values = [None] * (2 * len(times))
-            values[::2], values[1::2] = times, table.flags[chunk].tolist()
-            dest.write((fmt * len(times)) % tuple(values))
+    groups = [("%.17g,%d," + _quoted(t.cohort) + "\r\n", [t.times, t.flags]) for t in tables]
+    _write_columns(dest, _HEADER, groups)
+
+
+def _write_columns(dest, header: list[str], groups: list[tuple[str, list[np.ndarray]]]) -> None:
+    """Write a CSV header to a path or text stream, then each group's columns as rows of its format.
+
+    A format holds one %-field per column and ends in CRLF; the columns are
+    1-d arrays of one length, checked by the caller. Each chunk of
+    _CHUNK_LINES rows is formatted with one %.
+    """
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as handle:
+            return _write_columns(handle, header, groups)
+    dest.write(",".join(header) + "\r\n")
+    for fmt, columns in groups:
+        width = len(columns)
+        for start in range(0, len(columns[0]), _CHUNK_LINES):
+            chunk = [column[start : start + _CHUNK_LINES].tolist() for column in columns]
+            values = [None] * (width * len(chunk[0]))
+            for i, column in enumerate(chunk):
+                values[i::width] = column
+            dest.write((fmt * len(chunk[0])) % tuple(values))
 
 
 @dataclass(frozen=True)
@@ -390,31 +400,27 @@ def fit_report_dict(cohort: str, fit: FitResult, horizon: float) -> dict:
 
 
 def dumps_fit_reports(reports: list[dict]) -> str:
-    """JSON document for a list of fit_report_dict outputs."""
+    """JSON document for a list of fit_report_dict outputs; a non-finite number is null."""
     import json
 
-    return json.dumps({"fits": reports}, indent=2, sort_keys=False)
+    # the parser reads each non-finite constant back as None, so the output is strict JSON
+    plain = json.loads(json.dumps(reports), parse_constant=lambda _: None)
+    return json.dumps({"fits": plain}, indent=2, allow_nan=False)
 
 
-def write_overlay_csv(rows_by_cohort: Mapping[str, list[tuple[float, float, float] | tuple[float, float]]], dest, with_model: bool) -> None:
-    """KM / overlay rows as CSV: cohort,t,km[,model], cohorts sorted by label.
+def write_overlay_csv(columns_by_cohort: Mapping[str, Sequence], dest, with_model: bool) -> None:
+    """Columns (t, km[, model]) per cohort as CSV, cohort,t,km[,model], cohorts sorted by label.
 
-    A row of another width than the header's is a ValueError naming its cohort.
+    A cohort with another number of columns or with columns of unequal
+    length is a ValueError naming it, raised before anything is written.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            write_overlay_csv(rows_by_cohort, handle, with_model)
-        return
     header = ["cohort", "t", "km", "model"] if with_model else ["cohort", "t", "km"]
     width = len(header) - 1
-    cohorts = sorted(rows_by_cohort)
-    for cohort in cohorts:
-        if set(map(len, rows_by_cohort[cohort])) - {width}:
-            raise ValueError(f"cohort {cohort!r}: every overlay row must hold {width} values")
-    fmts = [_quoted(cohort) + ",%.17g" * width + "\r\n" for cohort in cohorts]
-    dest.write(",".join(header) + "\r\n")
-    for cohort, fmt in zip(cohorts, fmts):
-        rows = rows_by_cohort[cohort]
-        for start in range(0, len(rows), _CHUNK_LINES):
-            chunk = rows[start : start + _CHUNK_LINES]
-            dest.write((fmt * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    groups = []
+    for cohort in sorted(columns_by_cohort):
+        columns = [np.asarray(column, dtype=float) for column in columns_by_cohort[cohort]]
+        shapes = {column.shape for column in columns}
+        if len(columns) != width or len(shapes) != 1 or columns[0].ndim != 1:
+            raise ValueError(f"cohort {cohort!r}: the overlay needs {width} columns of one length")
+        groups.append((_quoted(cohort) + ",%.17g" * width + "\r\n", columns))
+    _write_columns(dest, header, groups)

@@ -7,11 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwsurv
 import pwsurv.cli as cli
+from pwsurv import EventRecord, ModelSpec, kaplan_meier, model_survival
 from pwsurv.cli import main
+
+from test_report import LABELS, csv_text
 
 SRC = Path(pwsurv.__file__).resolve().parent.parent
 
@@ -107,6 +111,16 @@ class TestFit:
         assert entry["converged"] is True
         assert {"theta", "shape", "scale"} == set(entry["estimates"])
 
+    def test_json_is_strict_at_infinite_horizon(self, ptm_csv, capsys):
+        assert main(["fit", "--input", str(ptm_csv), "--format", "json", "--horizon", "inf"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        entry = json.loads(capsys.readouterr().out, parse_constant=reject)["fits"][0]
+        assert entry["horizon"] is None
+        assert entry["elgd_at_horizon"] == pytest.approx(entry["cure_fraction"])
+
     def test_output_file(self, sim_csv, tmp_path):
         dest = tmp_path / "fit.txt"
         assert main(["fit", "--input", str(sim_csv), "--out", str(dest)]) == 0
@@ -173,6 +187,33 @@ class TestKm:
     def test_stdout_default(self, sim_csv, capsys):
         assert main(["km", "--input", str(sim_csv)]) == 0
         assert capsys.readouterr().out.startswith("cohort,t,km")
+
+    @pytest.mark.parametrize("overlay", [None, "zt", "ptm"])
+    @pytest.mark.parametrize("tied", [True, False], ids=["monthly", "continuous"])
+    def test_matches_csv_writer_reference(self, tied, overlay, tmp_path):
+        # each cohort's curve at 0 and at its steps, as csv.writer writes it from kaplan_meier
+        rng = np.random.default_rng(12)
+        data = {}
+        for label in LABELS:
+            times = rng.integers(1, 37, 50).astype(float) if tied else rng.exponential(12.0, 50)
+            data[label] = list(zip(times.tolist(), rng.integers(0, 2, 50).tolist()))
+        rows = [[f"{t:.17g}", d, label] for label in LABELS for t, d in data[label]]
+        with open(tmp_path / "in.csv", "w", newline="") as handle:
+            handle.write(csv_text([["time", "event", "cohort"]] + rows))
+        argv = ["km", "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path / "km.csv")]
+        expected = [["cohort", "t", "km"] + (["model"] if overlay else [])]
+        if overlay:
+            argv += ["--overlay-model", overlay, "--overlay-theta", "0.8",
+                     "--overlay-shape", "1.2", "--overlay-scale", "10"]
+            model = (ModelSpec.zero_truncated if overlay == "zt" else ModelSpec.promotion_time)(0.8, 1.2, 10.0)
+        for label in sorted(LABELS):
+            curve = kaplan_meier([EventRecord(t, d, label) for t, d in data[label]])
+            grid = np.concatenate(([0.0], curve.times))
+            columns = [grid, curve.survival_at(grid)] + ([model_survival(grid, model)] if overlay else [])
+            expected += [[label] + [f"{v:.17g}" for v in row] for row in zip(*(c.tolist() for c in columns))]
+        assert main(argv) == 0
+        with open(tmp_path / "km.csv", newline="") as handle:
+            assert handle.read() == csv_text(expected)
 
 
 class TestReport:

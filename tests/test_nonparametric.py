@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from pwsurv import (
-    EventRecord,
-    ModelSpec,
-    kaplan_meier,
-    model_survival,
-    overlay_export,
-)
+from pwsurv import EventRecord, kaplan_meier
 
 
 def records(times, flags, cohort=""):
@@ -91,30 +85,3 @@ class TestSurvivalLookup:
     def test_all_censored_curve_is_flat_one(self):
         curve = kaplan_meier(records((1.0, 2.0, 3.0), (0, 0, 0)))
         assert curve.survival_at(10.0) == 1.0
-
-
-class TestOverlayExport:
-    def test_model_column_is_one_at_origin(self):
-        curve = kaplan_meier(records((1.0, 2.0), (1, 1)))
-        m = ModelSpec.promotion_time(0.8, 1.2, 10.0)
-        rows = overlay_export(curve, m, np.array([0.0]))
-        assert rows == [(0.0, 1.0, 1.0)]
-
-    def test_rows_pair_km_with_model_survival(self):
-        curve = kaplan_meier(records((1.0, 2.0, 3.0), (1, 1, 0)))
-        m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
-        grid = np.array([0.0, 1.0, 2.5, 4.0])
-        rows = overlay_export(curve, m, grid)
-        assert len(rows) == 4
-        for (t, km, model), g in zip(rows, grid):
-            assert t == g
-            assert km == pytest.approx(curve.survival_at(g))
-            assert model == pytest.approx(model_survival(g, m))
-
-    def test_grid_validation(self):
-        curve = kaplan_meier(records((1.0,), (1,)))
-        m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
-        with pytest.raises(ValueError):
-            overlay_export(curve, m, np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            overlay_export(curve, m, np.array([-1.0, 1.0]))

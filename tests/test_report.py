@@ -218,13 +218,15 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("with_model", [False, True])
     def test_overlay_write_matches_csv_writer(self, with_model):
         width = 3 if with_model else 2
-        rows = {label: [(0.0, 1.0, 1.0)[:width], (0.1 + 0.2, 0.5, 1.0 / 3.0)[:width]] for label in LABELS}
+        t, km, model = np.array([0.0, 0.1 + 0.2]), np.array([1.0, 0.5]), np.array([1.0, 1.0 / 3.0])
+        columns = {label: [t, km, model][:width] for label in LABELS}
         header = ["cohort", "t", "km", "model"][: width + 1]
         expected = csv_text(
-            [header] + [[c] + [f"{v:.17g}" for v in row] for c in sorted(rows) for row in rows[c]]
+            [header]
+            + [[c] + [f"{v:.17g}" for v in row] for c in sorted(columns) for row in zip(*columns[c])]
         )
         buf = io.StringIO()
-        write_overlay_csv(rows, buf, with_model=with_model)
+        write_overlay_csv(columns, buf, with_model=with_model)
         assert buf.getvalue() == expected
 
     def test_large_tables_match_csv_writer(self):
@@ -240,28 +242,33 @@ class TestCsvRoundTrip:
         buf = io.StringIO()
         write_events_csv(table, buf)
         assert buf.getvalue() == expected
-        rows = {label: list(zip(times.tolist(), rng.random(50_000).tolist(), rng.random(50_000).tolist()))}
+        columns = [times, rng.random(50_000), rng.random(50_000)]
         expected = csv_text(
-            [["cohort", "t", "km", "model"]] + [[label] + [f"{v:.17g}" for v in row] for row in rows[label]]
+            [["cohort", "t", "km", "model"]]
+            + [[label] + [f"{v:.17g}" for v in row] for row in zip(*(c.tolist() for c in columns))]
         )
         buf = io.StringIO()
-        write_overlay_csv(rows, buf, with_model=True)
+        write_overlay_csv({label: columns}, buf, with_model=True)
         assert buf.getvalue() == expected
 
+    # each case maps cohorts to their columns; "a" has too few, too many or unequal ones
     @pytest.mark.parametrize(
         "rows, with_model",
         [
-            ({"a": [(0.0, 1.0, 0.9)]}, False),
-            ({"a": [(0.0, 1.0)]}, True),
-            ({"a": [(0.0, 1.0), (1.0,)], "b": [(0.0, 1.0)]}, False),
-            ({"0": [(0.0, 1.0, 1.0)], "a": [(0.0, 1.0, 1.0), (1.0, 0.5, 0.4, 0.3)]}, True),
+            ({"a": [[0.0], [1.0], [0.9]]}, False),
+            ({"a": [[0.0], [1.0]]}, True),
+            ({"a": [[0.0, 1.0], [1.0]], "b": [[0.0], [1.0]]}, False),
+            ({"0": [[0.0], [1.0], [1.0]], "a": [[0.0, 1.0], [1.0, 0.5], [1.0, 0.4], [0.0, 0.3]]}, True),
         ],
     )
-    def test_overlay_row_of_wrong_width_names_its_cohort(self, rows, with_model):
+    def test_overlay_row_of_wrong_width_names_its_cohort(self, rows, with_model, tmp_path):
         buf = io.StringIO()
         with pytest.raises(ValueError, match="cohort 'a'"):
             write_overlay_csv(rows, buf, with_model=with_model)
         assert buf.getvalue() == ""
+        with pytest.raises(ValueError, match="cohort 'a'"):
+            write_overlay_csv(rows, tmp_path / "km.csv", with_model=with_model)
+        assert not (tmp_path / "km.csv").exists()
 
     def test_cohort_labels_with_commas_survive(self):
         recs = [EventRecord(1.0, 1, "a,b")]
@@ -366,12 +373,12 @@ class TestRenderings:
 
     def test_overlay_csv_layout(self):
         buf = io.StringIO()
-        write_overlay_csv({"a": [(0.0, 1.0, 1.0), (1.0, 0.5, 0.48)]}, buf, with_model=True)
+        write_overlay_csv({"a": [np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.array([1.0, 0.48])]}, buf, with_model=True)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "cohort,t,km,model"
         assert lines[1].startswith("a,0,1,1")
         buf2 = io.StringIO()
-        write_overlay_csv({"a": [(0.0, 1.0)]}, buf2, with_model=False)
+        write_overlay_csv({"a": [np.array([0.0]), np.array([1.0])]}, buf2, with_model=False)
         assert buf2.getvalue().splitlines()[0] == "cohort,t,km"
 
 
