@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # `python -m pwsurv.cli` process) loads no submodule by itself.
 _HOMES = {
     "events": ("EventRecord", "EventTable", "to_arrays"),
-    "distributions": ("WeibullParams", "LatentCountParams", "weibull_pdf", "zt_poisson_mean"),
     "models": (
+        "WeibullParams", "LatentCountParams", "weibull_pdf", "zt_poisson_mean",
         "ModelKind", "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",
         "cure_fraction", "elgd_at_horizon", "model_density", "model_survival",
     ),

@@ -17,8 +17,7 @@ from importlib import import_module
 
 import numpy as np
 
-from .distributions import LatentCountParams, WeibullParams
-from .models import ModelKind, ModelSpec, model_survival
+from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, model_survival
 
 
 def _deferred(module: str, name: str):

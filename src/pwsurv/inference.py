@@ -15,9 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import LatentCountParams, WeibullParams
 from .events import EventRecord, to_arrays
-from .models import ModelKind, ModelSpec, _log_lead, _require_kind
+from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, _log_lead, _require_kind
 from .nonparametric import KmCurve, _product_limit
 
 __all__ = [
@@ -416,10 +415,6 @@ def _wald_from_information(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov, np.sqrt(var)
 
 
-def _two_sided_p(z: np.ndarray) -> np.ndarray:
-    return np.vectorize(math.erfc)(np.abs(z) / math.sqrt(2.0))
-
-
 def fit_mle(
     data: Iterable[EventRecord],
     kind: ModelKind,
@@ -449,8 +444,8 @@ def fit_mle(
         start = np.array(opts.initial, dtype=float)
     else:
         start = _initial_params(kind, times, flags)
-    if np.any(start <= 0.0) or not np.all(np.isfinite(start)):
-        raise ValueError(f"initial parameters must be positive and finite, got {start}")
+    if start.shape != (3,) or np.any(start <= 0.0) or not np.all(np.isfinite(start)):
+        raise ValueError(f"initial must be three positive finite numbers (theta, shape, scale), got {start}")
 
     with np.errstate(all="ignore"):
         estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(
@@ -464,7 +459,8 @@ def fit_mle(
         cov, se = _wald_from_information(-hess)
         ci_low = estimates - Z_95 * se
         ci_high = estimates + Z_95 * se
-        p_value = _two_sided_p(estimates / se)
+        # two-sided normal p-value of each Wald z = estimate / se
+        p_value = np.vectorize(math.erfc)(np.abs(estimates / se) / math.sqrt(2.0))
 
     return FitResult(
         model=spec,
@@ -512,7 +508,6 @@ def wald_summary(f: FitResult) -> list[WaldRow]:
     if not f.converged:
         raise ValueError("wald_summary requires a converged fit")
     estimates = f.estimates
-    p = _two_sided_p(estimates / f.se)
     return [
         WaldRow(
             parameter=PARAM_NAMES[i],
@@ -520,7 +515,7 @@ def wald_summary(f: FitResult) -> list[WaldRow]:
             se=float(f.se[i]),
             ci_low=float(f.ci_low[i]),
             ci_high=float(f.ci_high[i]),
-            p_value=float(p[i]),
+            p_value=float(f.p_value[i]),
         )
         for i in range(3)
     ]

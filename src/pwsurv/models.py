@@ -4,7 +4,8 @@ Both models view the observed time as the minimum of a latent number M of
 independent Weibull cause-specific times. The zero-truncated variant
 conditions on M >= 1 (every subject eventually fails); the promotion-time
 variant lets M = 0 with probability exp(-theta), giving a cured fraction that
-never experiences the event.
+never experiences the event. M is Poisson(theta), and each cause-specific time
+is Weibull with F(t) = 1 - exp(-(t/scale)^shape).
 
 Both kinds share one set of log-space formulas. With w = (t/scale)^shape,
 S = exp(-w), F = 1 - S, log f the Weibull log density and the lead term
@@ -17,6 +18,9 @@ log a(theta) = log theta (ptm) or log(theta / (1 - e^-theta)) (zt):
 The zt survival is summed as log a(theta) - theta F - w + log g(theta S) with
 g(x) = (1 - e^-x) / x, so theta S may underflow, and capped at 0 against
 rounding; all are finite for theta > 0.
+
+Functions of time accept a scalar or numpy array of times and return a
+matching scalar or array.
 """
 
 from __future__ import annotations
@@ -26,16 +30,11 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import (
-    LatentCountParams,
-    WeibullParams,
-    _as_time,
-    _ret,
-    _weibull_log_terms,
-    _zt_mean,
-)
-
 __all__ = [
+    "WeibullParams",
+    "LatentCountParams",
+    "weibull_pdf",
+    "zt_poisson_mean",
     "ModelKind",
     "ModelSpec",
     "ztpw_density",
@@ -46,6 +45,80 @@ __all__ = [
     "model_density",
     "model_survival",
 ]
+
+
+@dataclass(frozen=True)
+class WeibullParams:
+    """Weibull shape/scale pair under F(t) = 1 - exp(-(t/scale)^shape)."""
+
+    shape: float
+    scale: float
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.shape) and self.shape > 0.0):
+            raise ValueError(f"shape must be a positive finite number, got {self.shape!r}")
+        if not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be a positive finite number, got {self.scale!r}")
+
+
+@dataclass(frozen=True)
+class LatentCountParams:
+    """Poisson intensity for the latent number of competing risk causes.
+
+    theta = 0 is the degenerate all-cured case and is only meaningful for the
+    promotion-time model; the zero-truncated model needs theta > 0, which
+    ModelSpec enforces.
+    """
+
+    theta: float
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.theta) and self.theta >= 0.0):
+            raise ValueError(f"theta must be a nonnegative finite number, got {self.theta!r}")
+
+
+def _as_time(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+        raise ValueError("time must be nonnegative")
+    return arr
+
+
+def _ret(values: np.ndarray, arr: np.ndarray):
+    return float(values) if arr.ndim == 0 else values
+
+
+def _zt_mean(theta):
+    # the zero-truncated normalizer theta / (1 - exp(-theta)), unchecked
+    return theta / -np.expm1(-theta)
+
+
+def _weibull_log_terms(arr: np.ndarray, p: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
+    """log f and w = (t/scale)^shape; log f's power term is 0 at shape 1, and log f is -inf at w = inf."""
+    z = arr / p.scale
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        power = (p.shape - 1.0) * np.log(z) if p.shape != 1.0 else 0.0
+        w = z**p.shape
+        log_f = np.log(p.shape / p.scale) + power - w
+    return np.where(w < np.inf, log_f, -np.inf), w
+
+
+def weibull_pdf(t, p: WeibullParams):
+    """Density (shape/scale) * (t/scale)^(shape-1) * exp(-(t/scale)^shape)."""
+    arr = _as_time(t)
+    return _ret(np.exp(_weibull_log_terms(arr, p)[0]), arr)
+
+
+def zt_poisson_mean(theta: float) -> float:
+    """Mean of the zero-truncated Poisson: theta * e^theta / (e^theta - 1).
+
+    Computed as theta / (1 - exp(-theta)), which is stable for both small and
+    large theta. Always exceeds both theta and 1.
+    """
+    theta = float(theta)
+    if not (np.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be a positive finite number, got {theta!r}")
+    return float(_zt_mean(theta))
 
 
 class ModelKind(Enum):

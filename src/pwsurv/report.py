@@ -1,4 +1,4 @@
-"""Dataset ingestion, per-cohort fit orchestration, and table formatting.
+"""Dataset ingestion and table formatting.
 
 Input CSV schema: header ``time,event,cohort``, then one record per line;
 time a positive finite decimal in the user's time unit, event 0 or 1, cohort
@@ -21,9 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import zt_poisson_mean
 from .events import EventRecord, EventTable, to_arrays
-from .models import ModelKind, cure_fraction, elgd_at_horizon
+from .models import ModelKind, cure_fraction, elgd_at_horizon, zt_poisson_mean
 
 # inference and nonparametric load inside the functions that use them, so `simulate` runs
 # without either and `km` without inference
@@ -79,6 +78,9 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
             header = next(csv.reader([stream.readline()]))
         except csv.Error as exc:
             raise CsvFormatError(f"line 1: {exc}") from None
+        if header:
+            # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+            header[0] = header[0].removeprefix("\ufeff")
         if [h.strip() for h in header] != _HEADER:
             raise CsvFormatError(
                 f"line 1: missing or invalid header, expected {','.join(_HEADER)}"

@@ -9,6 +9,7 @@ import pytest
 from pwsurv import (
     EventRecord,
     FitOptions,
+    FitResult,
     ModelKind,
     ModelSpec,
     NoEventsError,
@@ -349,6 +350,11 @@ class TestFitMle:
         with pytest.raises(ValueError):
             fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, FitOptions(initial=(-1.0, 1.0, 1.0)))
 
+    @pytest.mark.parametrize("initial", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_wrong_length_initial_names_the_parameters(self, initial):
+        with pytest.raises(ValueError, match=r"three positive finite numbers \(theta, shape, scale\)"):
+            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, FitOptions(initial=initial))
+
 
 @pytest.fixture(scope="module")
 def fit():
@@ -369,6 +375,22 @@ class TestWaldSummary:
             assert row.ci_high == hi
             z = est / se
             assert row.p_value == pytest.approx(math.erfc(abs(z) / math.sqrt(2.0)), rel=1e-12)
+
+    def test_rows_take_the_fits_p_values(self):
+        # the p-values are the ones fit_mle stored, not recomputed from estimate / se
+        ones = np.ones(3)
+        f = FitResult(
+            model=ModelSpec.promotion_time(1.0, 1.0, 1.0),
+            se=ones,
+            ci_low=ones,
+            ci_high=ones,
+            p_value=np.full(3, 0.5),
+            loglik=-1.0,
+            converged=True,
+            iterations=1,
+            gradient_norm=0.0,
+        )
+        assert [row.p_value for row in wald_summary(f)] == [0.5, 0.5, 0.5]
 
     def test_far_tail_renders_as_below_threshold(self):
         # z = 43.7 is far beyond any printable tail mass

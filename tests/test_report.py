@@ -101,6 +101,9 @@ class TestReadEventsCsv:
     def test_non_numeric_time_names_line(self):
         with pytest.raises(CsvFormatError, match="line 2"):
             parse("time,event,cohort\nfast,1,a\n")
+        # only the header's byte-order mark is dropped
+        with pytest.raises(CsvFormatError, match="line 3: non-numeric time"):
+            parse("time,event,cohort\n1.5,1,a\n\ufeff2.5,1,a\n")
 
     def test_nonpositive_time_names_line(self):
         with pytest.raises(CsvFormatError, match="line 4"):
@@ -146,6 +149,14 @@ class TestReadEventsCsv:
         p.write_text("time,event,cohort\n1.5,1,a\n")
         assert read_events_csv(p)[0].records == [EventRecord(1.5, 1, "a")]
         assert read_events_csv(str(p))[0].records == [EventRecord(1.5, 1, "a")]
+
+    def test_byte_order_mark_on_header_is_ignored(self, tmp_path):
+        text = "time,event,cohort\n1.5,1,a\n2.5,0,b\n"
+        expected = parse(text)
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_events_csv(p) == expected
+        assert parse("\ufeff" + text) == expected
 
     def test_byte_stream_is_rejected_at_line_1(self):
         with pytest.raises(CsvFormatError, match="line 1"):
