@@ -21,13 +21,13 @@ _HOMES = {
         "WeibullParams", "LatentCountParams", "weibull_pdf", "zt_poisson_mean",
         "ModelKind", "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",
         "cure_fraction", "elgd_at_horizon", "model_density", "model_survival",
+        "SimConfig", "simulate_cohort",
     ),
     "nonparametric": ("KmCurve", "kaplan_meier"),
     "inference": (
-        "FitOptions", "FitResult", "WaldRow", "NoEventsError", "SingularInformationError",
+        "FitResult", "WaldRow", "NoEventsError", "SingularInformationError",
         "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary", "format_p_value",
     ),
-    "simulation": ("SimConfig", "simulate_cohort"),
     "report": (
         "CohortDataset", "CsvFormatError", "SummaryRow", "read_events_csv", "write_events_csv",
         "build_summary_table", "format_summary_table", "format_fit_report", "observed_unrecovered",

@@ -17,7 +17,9 @@ from importlib import import_module
 
 import numpy as np
 
-from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, model_survival
+from .models import (
+    LatentCountParams, ModelKind, ModelSpec, SimConfig, WeibullParams, model_survival, simulate_cohort,
+)
 
 
 def _deferred(module: str, name: str):
@@ -29,7 +31,8 @@ def _deferred(module: str, name: str):
     return call
 
 
-# The handlers look these names up here at call time, so bench/tracing.py can swap them.
+# The handlers look these names up here at call time, so bench/tracing.py can swap them
+# (simulate_cohort too, which the models import above binds).
 fit_mle = _deferred("inference", "fit_mle")
 kaplan_meier = _deferred("nonparametric", "kaplan_meier")
 build_summary_table = _deferred("report", "build_summary_table")
@@ -41,7 +44,6 @@ observed_unrecovered = _deferred("report", "observed_unrecovered")
 read_events_csv = _deferred("report", "read_events_csv")
 write_events_csv = _deferred("report", "write_events_csv")
 write_overlay_csv = _deferred("report", "write_overlay_csv")
-simulate_cohort = _deferred("simulation", "simulate_cohort")
 
 _KINDS = {"zt": ModelKind.ZERO_TRUNCATED, "ptm": ModelKind.PROMOTION_TIME}
 
@@ -116,7 +118,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _fit_cohorts(args) -> list:
     """Read the input and fit each cohort: (dataset, fit or the error that stopped it)."""
-    from .inference import FitOptions, SingularInformationError
+    from .inference import SingularInformationError
 
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
@@ -124,11 +126,13 @@ def _fit_cohorts(args) -> list:
         raise ValueError("--horizon must be positive")
     kind = None if args.model == "auto" else _KINDS[args.model]
     datasets = read_events_csv(args.input, kind=kind)
-    options = FitOptions() if args.max_iter is None else FitOptions(max_iterations=args.max_iter)
+    if not datasets:
+        raise ValueError(f"{args.input}: no records to fit")
+    limit = {} if args.max_iter is None else {"max_iterations": args.max_iter}
     results = []
     for ds in datasets:
         try:
-            results.append((ds, fit_mle(ds.records, ds.kind, options)))
+            results.append((ds, fit_mle(ds.records, ds.kind, **limit)))
         except (SingularInformationError, ValueError) as exc:  # NoEventsError is a ValueError
             results.append((ds, exc))
     return results
@@ -166,8 +170,6 @@ def _model_spec(kind: str, theta: float, shape: float, scale: float) -> ModelSpe
 
 
 def _cmd_simulate(args) -> int:
-    from .simulation import SimConfig
-
     model = _model_spec(args.model, args.theta, args.shape, args.scale)
     config = SimConfig(model=model, n=args.n, horizon=args.horizon, seed=args.seed)
     records = simulate_cohort(config, cohort=args.cohort)

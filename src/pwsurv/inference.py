@@ -20,7 +20,6 @@ from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, _log
 from .nonparametric import KmCurve, _product_limit
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "NoEventsError",
     "SingularInformationError",
@@ -44,14 +43,6 @@ class NoEventsError(ValueError):
 
 class SingularInformationError(RuntimeError):
     """Raised when the observed information matrix cannot be inverted."""
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer settings for fit_mle."""
-
-    max_iterations: int = 200
-    initial: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +322,7 @@ def _ascent_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g / float(np.max(np.abs(g)))
 
 
-def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, opts: FitOptions):
+def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, max_iterations: int):
     """Maximize the log-likelihood of the collapsed pairs over u = log p, starting from p.
 
     Returns (p, loglik, Hessian in p, trace, converged, iterations, gradient norm).
@@ -351,7 +342,7 @@ def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, opts: FitOpti
         if gnorm < _GRADIENT_TOL:
             converged = True
             break
-        if iterations >= opts.max_iterations:
+        if iterations >= max_iterations:
             break
 
         direction = _ascent_direction(np.outer(p, p) * hess + np.diag(g_u), g_u)
@@ -418,7 +409,9 @@ def _wald_from_information(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fit_mle(
     data: Iterable[EventRecord],
     kind: ModelKind,
-    options: FitOptions | None = None,
+    *,
+    max_iterations: int = 200,
+    initial: Sequence[float] | None = None,
 ) -> FitResult:
     """Maximum-likelihood fit of either model on loan event records.
 
@@ -426,22 +419,29 @@ def fit_mle(
     standard errors use the exact observed information in the original
     parameterization at the optimum. Non-convergence is reported through
     converged=False with NaN Wald statistics, never silently.
+    ``max_iterations`` caps the Newton steps; ``initial`` (theta, shape,
+    scale) replaces the start values taken from the Kaplan-Meier curve.
 
     Raises
     ------
     ValueError
-        On empty data, or censored records under the zero-truncated kind.
+        On empty data, censored records under the zero-truncated kind, fewer
+        than two distinct event times, or a bad ``initial``.
     NoEventsError
         On promotion-time data with no observed events.
     SingularInformationError
         When the information matrix at a converged optimum is singular.
     """
-    opts = options or FitOptions()
     times, flags = to_arrays(data)
     _validate(kind, times, flags)
+    pairs = _collapse(times, flags)
+    if np.count_nonzero(pairs[1]) < 2:
+        raise ValueError(
+            "needs at least two distinct event times; the Weibull shape has no finite estimate"
+        )
 
-    if opts.initial is not None:
-        start = np.array(opts.initial, dtype=float)
+    if initial is not None:
+        start = np.array(initial, dtype=float)
     else:
         start = _initial_params(kind, times, flags)
     if start.shape != (3,) or np.any(start <= 0.0) or not np.all(np.isfinite(start)):
@@ -449,7 +449,7 @@ def fit_mle(
 
     with np.errstate(all="ignore"):
         estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(
-            kind, _collapse(times, flags), start, opts
+            kind, pairs, start, max_iterations
         )
 
     spec = ModelSpec(kind, LatentCountParams(estimates[0]), WeibullParams(estimates[1], estimates[2]))

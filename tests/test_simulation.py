@@ -14,7 +14,7 @@ from pwsurv import (
     simulate_cohort,
     zt_poisson_mean,
 )
-from pwsurv.simulation import _latent_count
+from pwsurv.models import _latent_count
 
 from cohorts import default_spec, recovery_spec
 
@@ -93,6 +93,29 @@ class TestSimulateCohort:
         small = simulate_cohort(SimConfig(model=m, n=20, horizon=24.0, seed=11))
         large = simulate_cohort(SimConfig(model=m, n=500, horizon=24.0, seed=11))
         assert large[:20] == small
+
+    @pytest.mark.parametrize(
+        "m, horizon, seed, rows",
+        [
+            (
+                ModelSpec.zero_truncated(1.4644, 1.3, 0.2), math.inf, 5,
+                [(0.5502992398389178, 1), (0.23462814616457714, 1), (0.16667966708082474, 1),
+                 (0.10957441914048034, 1), (0.01735966142763376, 1)],
+            ),
+            (
+                ModelSpec.promotion_time(0.8, 1.2, 10.0), 24.0, 2,
+                [(4.769604256955072, 1), (17.2965483478584, 1), (1.5622348001353412, 1),
+                 (24.0, 0), (24.0, 0)],
+            ),
+        ],
+        ids=["zt", "ptm"],
+    )
+    def test_stream_layout_is_pinned(self, m, horizon, seed, rows):
+        # a change to the streams or the order they are read in redraws every
+        # value; the tolerance only admits last-digit libm differences
+        recs = simulate_cohort(SimConfig(model=m, n=5, horizon=horizon, seed=seed))
+        assert recs.flags.tolist() == [d for _, d in rows]
+        assert recs.times.tolist() == pytest.approx([t for t, _ in rows], rel=1e-12)
 
     def test_different_seeds_differ(self):
         m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
