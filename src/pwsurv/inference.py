@@ -17,7 +17,7 @@ import numpy as np
 
 from .events import EventRecord, to_arrays
 from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, _log_lead, _require_kind
-from .nonparametric import KmCurve, _product_limit
+from .nonparametric import KmCurve, _collapse
 
 __all__ = [
     "FitResult",
@@ -88,27 +88,6 @@ class FitResult:
 _SERIES_CUTOFF = 1e-3
 
 
-def _collapse(times: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (time, flag) pairs and the number of records holding each.
-
-    The pairs keep the order of their first record, so on data without ties
-    the kernel's sums add the same terms in the same order as over the records.
-    """
-    # times are positive, so a signed time (negative when censored) is one
-    # sort key that keeps the two flags of a time apart
-    key = np.where(flags == 1, times, -times)
-    order = np.argsort(key)
-    sorted_key = key[order]
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = sorted_key[1:] != sorted_key[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, key.size)).astype(float)
-    first = np.minimum.reduceat(order, starts)
-    by_first = np.argsort(first)
-    first = first[by_first]
-    return times[first], flags[first], counts[by_first]
-
-
 def _loglik_derivatives(
     kind: ModelKind,
     times: np.ndarray,
@@ -172,40 +151,34 @@ def _loglik_derivatives(
 
 
 def _zt_loglik(times: np.ndarray, theta: float, shape: float, scale: float) -> float:
-    pairs = _collapse(times, np.ones(times.size))
+    pairs, _ = _collapse(times, np.ones(times.size))
     return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, (theta, shape, scale))[0]
 
 
 def _zt_score(times: np.ndarray, theta: float, shape: float, scale: float) -> np.ndarray:
-    pairs = _collapse(times, np.ones(times.size))
+    pairs, _ = _collapse(times, np.ones(times.size))
     return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, (theta, shape, scale))[1]
 
 
 def _ptm_loglik(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> float:
-    pairs = _collapse(times, flags)
+    pairs, _ = _collapse(times, flags)
     return _loglik_derivatives(ModelKind.PROMOTION_TIME, *pairs, (theta, shape, scale))[0]
 
 
 def _ptm_score(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> np.ndarray:
-    pairs = _collapse(times, flags)
+    pairs, _ = _collapse(times, flags)
     return _loglik_derivatives(ModelKind.PROMOTION_TIME, *pairs, (theta, shape, scale))[1]
 
 
-def _validate(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> None:
-    if times.size == 0:
-        raise ValueError("dataset is empty")
+def _validate(kind: ModelKind, flags: np.ndarray) -> None:
     if kind is ModelKind.ZERO_TRUNCATED and np.any(flags == 0):
         raise ValueError(
             "the zero-truncated model applies to fully observed data; "
             "censored records are not allowed"
-        )
-    if kind is ModelKind.PROMOTION_TIME and not np.any(flags == 1):
-        raise NoEventsError(
-            "no events in the dataset; the promotion-time intensity is not identifiable"
         )
 
 
@@ -216,7 +189,7 @@ def loglik_zt(data: Iterable[EventRecord], m: ModelSpec) -> float:
     """
     _require_kind(m, ModelKind.ZERO_TRUNCATED)
     times, flags = to_arrays(data)
-    _validate(m.kind, times, flags)
+    _validate(m.kind, flags)
     return _zt_loglik(times, *m.params())
 
 
@@ -226,10 +199,7 @@ def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
     Events contribute log density, censored records log survival.
     """
     _require_kind(m, ModelKind.PROMOTION_TIME)
-    times, flags = to_arrays(data)
-    if times.size == 0:
-        raise ValueError("dataset is empty")
-    return _ptm_loglik(times, flags, *m.params())
+    return _ptm_loglik(*to_arrays(data), *m.params())
 
 
 # --- optimizer -------------------------------------------------------------
@@ -284,8 +254,7 @@ def _ptm_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
     return _km_weibull_init(curve, times)
 
 
-def _initial_params(kind: ModelKind, times: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    curve = _product_limit(times, flags)
+def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: np.ndarray) -> np.ndarray:
     if kind is ModelKind.ZERO_TRUNCATED:
         shape0, scale0 = _km_weibull_init(curve, times)
         theta0 = 1.0
@@ -433,17 +402,16 @@ def fit_mle(
         When the information matrix at a converged optimum is singular.
     """
     times, flags = to_arrays(data)
-    _validate(kind, times, flags)
-    pairs = _collapse(times, flags)
-    if np.count_nonzero(pairs[1]) < 2:
+    _validate(kind, flags)
+    pairs, curve = _collapse(times, flags)  # an empty cohort fails here
+    if curve.times.size == 0:
+        raise NoEventsError("no events in the dataset; the promotion-time intensity is not identifiable")
+    if curve.times.size < 2:
         raise ValueError(
             "needs at least two distinct event times; the Weibull shape has no finite estimate"
         )
 
-    if initial is not None:
-        start = np.array(initial, dtype=float)
-    else:
-        start = _initial_params(kind, times, flags)
+    start = _initial_params(kind, curve, times, flags) if initial is None else np.array(initial, dtype=float)
     if start.shape != (3,) or np.any(start <= 0.0) or not np.all(np.isfinite(start)):
         raise ValueError(f"initial must be three positive finite numbers (theta, shape, scale), got {start}")
 

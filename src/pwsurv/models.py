@@ -269,6 +269,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"cohort size must be at least 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.model.kind is ModelKind.PROMOTION_TIME and math.isinf(self.horizon):

@@ -1,4 +1,4 @@
-"""Kaplan-Meier product-limit estimation."""
+"""Kaplan-Meier product-limit estimation, and the one grouping of a cohort's records."""
 
 from __future__ import annotations
 
@@ -43,16 +43,37 @@ def kaplan_meier(data: Iterable[EventRecord]) -> KmCurve:
     t_i. A censored subject leaves the risk set after its time, so a censoring
     tied with an event at the same time still counts as at risk there.
     """
-    return _product_limit(*to_arrays(data))
+    times, flags = to_arrays(data)
+    return _product_limit(*np.unique(np.where(flags == 1, times, -times), return_counts=True))
 
 
-def _product_limit(times: np.ndarray, flags: np.ndarray) -> KmCurve:
-    """kaplan_meier of a time column and its 0/1 event-flag column."""
-    if times.size == 0:
-        raise ValueError("kaplan_meier requires a nonempty dataset")
+def _product_limit(keys: np.ndarray, counts: np.ndarray) -> KmCurve:
+    """kaplan_meier from sorted distinct signed times (negated when censored) and record counts."""
+    if keys.size == 0:
+        raise ValueError("dataset is empty")
+    first = np.searchsorted(keys, 0.0)  # the censorings sort first
+    cum = np.concatenate(([0], np.cumsum(counts)))  # cum[j]: the records at the first j keys
+    # at risk at t: the events at t or later and the censorings at t or later, whose keys are <= -t
+    at_risk = cum[-1] - cum[first:-1] + cum[np.searchsorted(keys[:first], -keys[first:], side="right")]
+    survival = np.cumprod(1.0 - counts[first:] / at_risk)
+    return KmCurve(times=keys[first:], survival=survival, at_risk=at_risk, events=counts[first:])
 
-    event_times, deaths = np.unique(times[flags == 1], return_counts=True)
-    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
-    survival = np.cumprod(1.0 - deaths / at_risk)
 
-    return KmCurve(times=event_times, survival=survival, at_risk=at_risk.astype(int), events=deaths)
+def _collapse(times: np.ndarray, flags: np.ndarray) -> tuple[tuple, KmCurve]:
+    """The distinct (time, flag) pairs with the number of records holding each, and their curve.
+
+    The pairs keep the order of their first record, so on data without ties the
+    kernel's sums add the same terms in the same order as over the records.
+    """
+    key = np.where(flags == 1, times, -times)
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, key.size))
+    curve = _product_limit(sorted_key[starts], counts)
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    first = first[by_first]
+    return (times[first], flags[first], counts[by_first].astype(float)), curve

@@ -68,8 +68,8 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
     ``source`` may be a path or an open text stream. When ``kind`` is
     None the model kind is inferred per cohort: fully observed cohorts get
     the zero-truncated model, cohorts with censoring the promotion-time
-    model. Each record must fit on one physical line. Malformed input raises
-    CsvFormatError naming the line.
+    model. Each record must fit on one physical line. Malformed input, and a
+    file that is not UTF-8, raises CsvFormatError naming the line.
     """
     owned = isinstance(source, (str, Path))
     stream = open(source, "r", encoding="utf-8", newline="") if owned else source
@@ -99,6 +99,14 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
             for code in np.flatnonzero(np.diff(ends)).tolist():
                 rows = order[ends[code]:ends[code + 1]]
                 pieces.setdefault(code, []).append((times[rows], flags[rows]))
+    except UnicodeDecodeError:
+        if owned:  # reread, with each byte b that is not UTF-8 as the lone surrogate U+DC00 + b
+            with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as text:
+                for number, line in enumerate(text, 1):
+                    if bad := [c for c in ("" if line.isascii() else line) if "\udc80" <= c <= "\udcff"]:
+                        byte = ord(bad[0]) - 0xDC00
+                        raise CsvFormatError(f"line {number}: not UTF-8 text (byte 0x{byte:02x})") from None
+        raise
     finally:
         if owned:
             stream.close()

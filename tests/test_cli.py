@@ -75,6 +75,13 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        code = main(["simulate", "--model", "zt", "--theta", "1", "--shape", "1",
+                     "--scale", "1", "--n", "10", "--horizon", "inf", "--seed", "-1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
     def test_small_shape_times_stay_positive(self, tmp_path):
         # scale * (E/M)^(1/shape) underflows to 0.0 for some subjects at shape 0.01
         out = tmp_path / "x.csv"

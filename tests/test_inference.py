@@ -155,7 +155,7 @@ def random_problem(kind, seed):
 
 
 def assert_hessian_matches_score_differences(kind, times, flags, p):
-    pairs = _collapse(times, flags)
+    pairs, _ = _collapse(times, flags)
     _, _, hess = _loglik_derivatives(kind, *pairs, p)
     fd = central_differences(lambda q: _loglik_derivatives(kind, *pairs, q)[1], p)
     np.testing.assert_array_equal(hess, hess.T)
@@ -203,7 +203,7 @@ class TestScores:
         info = {}
         for theta in (1e-11, below, above, 0.5):
             _, _, hess = _loglik_derivatives(
-                ModelKind.ZERO_TRUNCATED, *_collapse(times, flags), (theta, 1.4, 2.0)
+                ModelKind.ZERO_TRUNCATED, *_collapse(times, flags)[0], (theta, 1.4, 2.0)
             )
             assert np.all(np.isfinite(hess))
             info[theta] = -hess[0, 0]
@@ -227,7 +227,7 @@ class TestCollapsedPairs:
 
     def test_pairs_count_records_in_first_appearance_order(self):
         times, flags = self.monthly(ModelKind.PROMOTION_TIME)
-        t, d, counts = _collapse(times, flags)
+        (t, d, counts), _ = _collapse(times, flags)
         pairs = list(zip(times.tolist(), flags.tolist()))
         assert list(zip(t.tolist(), d.tolist())) == list(dict.fromkeys(pairs))
         assert counts.tolist() == [pairs.count(p) for p in zip(t.tolist(), d.tolist())]
@@ -235,7 +235,7 @@ class TestCollapsedPairs:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_weighted_kernel_matches_expanded_records(self, kind):
         times, flags = self.monthly(kind)
-        pairs = _collapse(times, flags)
+        pairs, _ = _collapse(times, flags)
         assert pairs[0].size < times.size / 10
         p = (0.9, 1.3, 8.0)
         collapsed = _loglik_derivatives(kind, *pairs, p)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pwsurv import EventRecord, kaplan_meier
+from pwsurv import EventRecord, EventTable, kaplan_meier
+from pwsurv.nonparametric import _collapse
 
 
 def records(times, flags, cohort=""):
@@ -85,3 +86,57 @@ class TestSurvivalLookup:
     def test_all_censored_curve_is_flat_one(self):
         curve = kaplan_meier(records((1.0, 2.0, 3.0), (0, 0, 0)))
         assert curve.survival_at(10.0) == 1.0
+
+
+def textbook_curve(times, flags):
+    """The product-limit formula with its own grouping: event times by np.unique,
+    at-risk counts by searchsorted on the sorted times."""
+    event_times, deaths = np.unique(times[flags == 1], return_counts=True)
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    return event_times, np.cumprod(1.0 - deaths / at_risk), at_risk, deaths
+
+
+def oracle_cohort(shape, seed):
+    rng = np.random.default_rng(seed)
+    n = 200
+    if shape == "untied":
+        times = rng.weibull(1.3, n) * 5.0
+        return times, (rng.random(n) < 0.7).astype(np.int64)
+    if shape == "monthly":
+        # whole months, so censorings tie with each other and with events
+        times = np.ceil(rng.weibull(1.2, n) * 10.0)
+        return times, (rng.random(n) < 0.6).astype(np.int64)
+    if shape == "all censored":
+        return np.ceil(rng.weibull(1.2, n) * 10.0), np.zeros(n, dtype=np.int64)
+    if shape == "one event time":
+        # every event at one time, censorings before, at and after it
+        flags = (rng.random(n) < 0.5).astype(np.int64)
+        times = np.ceil(rng.random(n) * 6.0)
+        times[flags == 1] = 3.0
+        return times, flags
+    assert shape == "single record"
+    return rng.random(1) + 0.5, rng.integers(0, 2, 1)
+
+
+ORACLE_SHAPES = ["untied", "monthly", "all censored", "one event time", "single record"]
+
+
+class TestOneGrouping:
+    """kaplan_meier and the curve the fit starts from group the records the same way."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_matches_textbook_formula_and_fit_curve(self, shape, seed):
+        times, flags = oracle_cohort(shape, seed)
+        curve = kaplan_meier(EventTable(times, flags))
+        want_times, want_survival, want_at_risk, want_events = textbook_curve(times, flags)
+        np.testing.assert_array_equal(curve.times, want_times)
+        np.testing.assert_array_equal(curve.at_risk, want_at_risk)
+        np.testing.assert_array_equal(curve.events, want_events)
+        # bit for bit: the same integers divided in the same order
+        assert curve.survival.tobytes() == want_survival.tobytes()
+
+        _, fit_curve = _collapse(times, flags)
+        for name in ("times", "survival", "at_risk", "events"):
+            np.testing.assert_array_equal(getattr(fit_curve, name), getattr(curve, name))
+            assert getattr(fit_curve, name).dtype == getattr(curve, name).dtype

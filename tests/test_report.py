@@ -158,6 +158,25 @@ class TestReadEventsCsv:
         assert read_events_csv(p) == expected
         assert parse("\ufeff" + text) == expected
 
+    @pytest.mark.parametrize(
+        "line, bad, byte",
+        [
+            (1, b"time,event,\xffcohort", "ff"),
+            (3, b"2.5,1,\xffb", "ff"),
+            # a multibyte sequence cut short by the line end
+            (3, b"2.5,1,b\xc3", "c3"),
+            # past the first two reading chunks
+            (2 + 2 * report._CHUNK_LINES, b"2.5,1,\xffb", "ff"),
+        ],
+    )
+    def test_file_that_is_not_utf8_names_line(self, tmp_path, line, bad, byte):
+        lines = [b"time,event,cohort"] + [b"1.5,1,a"] * line
+        lines[line - 1] = bad
+        p = tmp_path / "events.csv"
+        p.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(CsvFormatError, match=rf"^line {line}: not UTF-8 text \(byte 0x{byte}\)$"):
+            read_events_csv(p)
+
     def test_byte_stream_is_rejected_at_line_1(self):
         with pytest.raises(CsvFormatError, match="line 1"):
             read_events_csv(io.BytesIO(b"time,event,cohort\n1.5,1,a\n"))
