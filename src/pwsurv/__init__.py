@@ -25,7 +25,7 @@ _HOMES = {
     ),
     "nonparametric": ("KmCurve", "kaplan_meier"),
     "inference": (
-        "FitResult", "WaldRow", "NoEventsError", "SingularInformationError",
+        "FitResult", "NoEventsError", "SingularInformationError",
         "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary", "format_p_value",
     ),
     "report": (

@@ -1,4 +1,4 @@
-"""Loan-level event records shared by the fitting, nonparametric and simulation code."""
+"""Loan-level event records: the models simulate them, the fitting and nonparametric code read them."""
 
 from __future__ import annotations
 

@@ -23,7 +23,6 @@ __all__ = [
     "FitResult",
     "NoEventsError",
     "SingularInformationError",
-    "WaldRow",
     "loglik_zt",
     "loglik_ptm",
     "fit_mle",
@@ -150,28 +149,32 @@ def _loglik_derivatives(
     return float(loglik), score, hessian
 
 
+def _evaluate(
+    kind: ModelKind, times: np.ndarray, flags: np.ndarray, params: Sequence[float]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, score and Hessian of the records (times, flags) at params."""
+    pairs, _ = _collapse(times, flags)
+    return _loglik_derivatives(kind, *pairs, params)
+
+
 def _zt_loglik(times: np.ndarray, theta: float, shape: float, scale: float) -> float:
-    pairs, _ = _collapse(times, np.ones(times.size))
-    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, (theta, shape, scale))[0]
+    return _evaluate(ModelKind.ZERO_TRUNCATED, times, np.ones(times.size), (theta, shape, scale))[0]
 
 
 def _zt_score(times: np.ndarray, theta: float, shape: float, scale: float) -> np.ndarray:
-    pairs, _ = _collapse(times, np.ones(times.size))
-    return _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, (theta, shape, scale))[1]
+    return _evaluate(ModelKind.ZERO_TRUNCATED, times, np.ones(times.size), (theta, shape, scale))[1]
 
 
 def _ptm_loglik(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> float:
-    pairs, _ = _collapse(times, flags)
-    return _loglik_derivatives(ModelKind.PROMOTION_TIME, *pairs, (theta, shape, scale))[0]
+    return _evaluate(ModelKind.PROMOTION_TIME, times, flags, (theta, shape, scale))[0]
 
 
 def _ptm_score(
     times: np.ndarray, flags: np.ndarray, theta: float, shape: float, scale: float
 ) -> np.ndarray:
-    pairs, _ = _collapse(times, flags)
-    return _loglik_derivatives(ModelKind.PROMOTION_TIME, *pairs, (theta, shape, scale))[1]
+    return _evaluate(ModelKind.PROMOTION_TIME, times, flags, (theta, shape, scale))[1]
 
 
 def _validate(kind: ModelKind, flags: np.ndarray) -> None:
@@ -190,7 +193,7 @@ def loglik_zt(data: Iterable[EventRecord], m: ModelSpec) -> float:
     _require_kind(m, ModelKind.ZERO_TRUNCATED)
     times, flags = to_arrays(data)
     _validate(m.kind, flags)
-    return _zt_loglik(times, *m.params())
+    return _evaluate(m.kind, times, flags, m.params())[0]
 
 
 def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
@@ -199,7 +202,7 @@ def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
     Events contribute log density, censored records log survival.
     """
     _require_kind(m, ModelKind.PROMOTION_TIME)
-    return _ptm_loglik(*to_arrays(data), *m.params())
+    return _evaluate(m.kind, *to_arrays(data), m.params())[0]
 
 
 # --- optimizer -------------------------------------------------------------
@@ -395,12 +398,15 @@ def fit_mle(
     ------
     ValueError
         On empty data, censored records under the zero-truncated kind, fewer
-        than two distinct event times, or a bad ``initial``.
+        than two distinct event times, a negative ``max_iterations`` or a bad
+        ``initial``.
     NoEventsError
         On promotion-time data with no observed events.
     SingularInformationError
         When the information matrix at a converged optimum is singular.
     """
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     times, flags = to_arrays(data)
     _validate(kind, flags)
     pairs, curve = _collapse(times, flags)  # an empty cohort fails here
@@ -447,43 +453,25 @@ def fit_mle(
 
 # --- Wald summaries --------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaldRow:
-    """One summary line: estimate, SE, 95% CI bounds, and the Wald p-value."""
-
-    parameter: str
-    estimate: float
-    se: float
-    ci_low: float
-    ci_high: float
-    p_value: float
-
-    @property
-    def p_text(self) -> str:
-        return format_p_value(self.p_value)
-
-
 def format_p_value(p: float) -> str:
     """Render a p-value, collapsing the far tail to '< 0.0001'."""
     return "< 0.0001" if p < 1e-4 else f"{p:.4f}"
 
 
-def wald_summary(f: FitResult) -> list[WaldRow]:
-    """Per-parameter Wald rows (estimate, SE, CI, p) for a converged fit.
+def wald_summary(f: FitResult) -> list[dict]:
+    """The report's Wald rows for a converged fit, one per parameter.
 
-    The p-value tests each parameter against 0 using the normal approximation.
+    Each row holds parameter, estimate, se, ci_low, ci_high, p_value and
+    p_text (the p-value as the report prints it). The p-value tests the
+    parameter against 0 using the normal approximation.
     """
     if not f.converged:
         raise ValueError("wald_summary requires a converged fit")
-    estimates = f.estimates
-    return [
-        WaldRow(
-            parameter=PARAM_NAMES[i],
-            estimate=float(estimates[i]),
-            se=float(f.se[i]),
-            ci_low=float(f.ci_low[i]),
-            ci_high=float(f.ci_high[i]),
-            p_value=float(f.p_value[i]),
-        )
-        for i in range(3)
-    ]
+    rows = []
+    for name, *values in zip(PARAM_NAMES, f.estimates, f.se, f.ci_low, f.ci_high, f.p_value):
+        estimate, se, ci_low, ci_high, p_value = map(float, values)
+        rows.append({
+            "parameter": name, "estimate": estimate, "se": se, "ci_low": ci_low,
+            "ci_high": ci_high, "p_value": p_value, "p_text": format_p_value(p_value),
+        })
+    return rows

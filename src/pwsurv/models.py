@@ -92,7 +92,9 @@ class LatentCountParams:
 
 def _as_time(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if np.any(np.isnan(arr)):
+        raise ValueError("time must not be NaN")
+    if np.any(arr < 0.0):
         raise ValueError("time must be nonnegative")
     return arr
 

@@ -30,6 +30,8 @@ class KmCurve:
     def survival_at(self, t):
         """Right-continuous step lookup: the estimate at the last event time <= t."""
         arr = np.asarray(t, dtype=float)
+        if np.any(np.isnan(arr)):
+            raise ValueError("time must not be NaN")
         padded = np.concatenate(([1.0], self.survival))
         out = padded[np.searchsorted(self.times, arr, side="right")]
         return float(out) if arr.ndim == 0 else out

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import groupby, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -399,7 +399,7 @@ def fit_report_dict(cohort: str, fit: FitResult, horizon: float) -> dict:
         "gradient_norm": fit.gradient_norm,
     }
     if fit.converged:
-        out["parameters"] = [{**asdict(row), "p_text": row.p_text} for row in wald_summary(fit)]
+        out["parameters"] = wald_summary(fit)
     if fit.model.kind is ModelKind.ZERO_TRUNCATED:
         out["latent_mean"] = zt_poisson_mean(theta)
     else:

@@ -87,6 +87,12 @@ class TestWeibullKernels:
         with pytest.raises(ValueError):
             weibull_pdf(np.array([1.0, -0.5]), WeibullParams(2.0, 3.0))
 
+    def test_nan_time_is_named(self):
+        with pytest.raises(ValueError, match="time must not be NaN"):
+            weibull_pdf(np.array([1.0, np.nan]), WeibullParams(2.0, 3.0))
+        with pytest.raises(ValueError, match="time must not be NaN"):
+            ptm_survival(np.nan, ModelSpec.promotion_time(0.8, 1.2, 10.0))
+
 
 def assert_draws_follow(kind: ModelKind, theta: float, cdf, seed: int) -> None:
     """10^5 latent counts, drawn as simulate_cohort draws M, against a count CDF.

@@ -9,11 +9,13 @@ import pytest
 from pwsurv import (
     EventRecord,
     FitResult,
+    LatentCountParams,
     ModelKind,
     ModelSpec,
     NoEventsError,
     SimConfig,
     SingularInformationError,
+    WeibullParams,
     elgd_at_horizon,
     fit_mle,
     format_p_value,
@@ -38,6 +40,7 @@ from pwsurv.inference import (
     _zt_loglik,
     _zt_score,
 )
+from pwsurv.report import fit_report_dict
 
 from cohorts import DEFAULT_FITS, RECOVERY_FITS, estimates
 
@@ -232,6 +235,15 @@ class TestCollapsedPairs:
         assert list(zip(t.tolist(), d.tolist())) == list(dict.fromkeys(pairs))
         assert counts.tolist() == [pairs.count(p) for p in zip(t.tolist(), d.tolist())]
 
+    def test_public_logliks_equal_the_kernel_helpers(self):
+        p = (0.9, 1.3, 8.0)
+        times, flags = self.monthly(ModelKind.ZERO_TRUNCATED)
+        recs = mixed(zip(times.tolist(), flags.tolist()))
+        assert loglik_zt(recs, ModelSpec.zero_truncated(*p)) == _zt_loglik(times, *p)
+        times, flags = self.monthly(ModelKind.PROMOTION_TIME)
+        recs = mixed(zip(times.tolist(), flags.tolist()))
+        assert loglik_ptm(recs, ModelSpec.promotion_time(*p)) == _ptm_loglik(times, flags, *p)
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_weighted_kernel_matches_expanded_records(self, kind):
         times, flags = self.monthly(kind)
@@ -359,6 +371,10 @@ class TestFitMle:
         with pytest.raises(ValueError):
             fit_mle([], ModelKind.ZERO_TRUNCATED)
 
+    def test_negative_max_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations must be nonnegative, got -3"):
+            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, max_iterations=-3)
+
     def test_bad_initial_rejected(self):
         with pytest.raises(ValueError):
             fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, initial=(-1.0, 1.0, 1.0))
@@ -380,14 +396,16 @@ class TestWaldSummary:
 
     def test_rows_are_ordered_and_consistent(self, fit):
         rows = wald_summary(fit)
-        assert [r.parameter for r in rows] == list(PARAM_NAMES)
+        assert [r["parameter"] for r in rows] == list(PARAM_NAMES)
         for row, est, se, lo, hi in zip(rows, fit.estimates, fit.se, fit.ci_low, fit.ci_high):
-            assert row.estimate == est
-            assert row.se == se
-            assert row.ci_low == lo
-            assert row.ci_high == hi
+            assert list(row) == ["parameter", "estimate", "se", "ci_low", "ci_high", "p_value", "p_text"]
+            assert row["estimate"] == est
+            assert row["se"] == se
+            assert row["ci_low"] == lo
+            assert row["ci_high"] == hi
             z = est / se
-            assert row.p_value == pytest.approx(math.erfc(abs(z) / math.sqrt(2.0)), rel=1e-12)
+            assert row["p_value"] == pytest.approx(math.erfc(abs(z) / math.sqrt(2.0)), rel=1e-12)
+            assert row["p_text"] == format_p_value(row["p_value"])
 
     def test_rows_take_the_fits_p_values(self):
         # the p-values are the ones fit_mle stored, not recomputed from estimate / se
@@ -403,7 +421,16 @@ class TestWaldSummary:
             iterations=1,
             gradient_norm=0.0,
         )
-        assert [row.p_value for row in wald_summary(f)] == [0.5, 0.5, 0.5]
+        assert [row["p_value"] for row in wald_summary(f)] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_rows_are_the_reports_rows(self, kind):
+        m = ModelSpec(kind, LatentCountParams(0.9), WeibullParams(1.3, 9.0))
+        horizon = math.inf if kind is ModelKind.ZERO_TRUNCATED else 30.0
+        recs = simulate_cohort(SimConfig(model=m, n=800, horizon=horizon, seed=4))
+        fit = fit_mle(recs, kind)
+        assert fit.converged
+        assert wald_summary(fit) == fit_report_dict("c", fit, 24.0)["parameters"]
 
     def test_far_tail_renders_as_below_threshold(self):
         # z = 43.7 is far beyond any printable tail mass

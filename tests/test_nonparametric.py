@@ -83,6 +83,14 @@ class TestSurvivalLookup:
         out = curve.survival_at(np.array([0.0, 1.0, 1.5, 3.5]))
         np.testing.assert_allclose(out, [1.0, 2 / 3, 2 / 3, 0.0])
 
+    def test_nan_time_raises(self):
+        # not the last step, 0.375, that a sorted search would give
+        curve = kaplan_meier(records((1.0, 2.0, 3.0, 4.0), (1, 0, 1, 0)))
+        with pytest.raises(ValueError, match="NaN"):
+            curve.survival_at(np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            curve.survival_at(np.array([1.0, np.nan]))
+
     def test_all_censored_curve_is_flat_one(self):
         curve = kaplan_meier(records((1.0, 2.0, 3.0), (0, 0, 0)))
         assert curve.survival_at(10.0) == 1.0
