@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # when one of its names is first used, so `import pwsurv` (and every
 # `python -m pwsurv.cli` process) loads no submodule by itself.
 _HOMES = {
-    "events": ("EventRecord", "EventTable", "to_arrays"),
+    "events": ("EventTable", "to_arrays"),
     "models": (
         "WeibullParams", "LatentCountParams", "weibull_pdf", "zt_poisson_mean",
         "ModelKind", "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",

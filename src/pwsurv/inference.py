@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .events import EventRecord, to_arrays
+from .events import EventTable, to_arrays
 from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, _log_lead, _require_kind
 from .nonparametric import KmCurve, _collapse
 
@@ -178,6 +178,8 @@ def _ptm_score(
 
 
 def _validate(kind: ModelKind, flags: np.ndarray) -> None:
+    if not isinstance(kind, ModelKind):
+        raise ValueError(f"kind must be a ModelKind, got {kind!r}")
     if kind is ModelKind.ZERO_TRUNCATED and np.any(flags == 0):
         raise ValueError(
             "the zero-truncated model applies to fully observed data; "
@@ -185,7 +187,7 @@ def _validate(kind: ModelKind, flags: np.ndarray) -> None:
         )
 
 
-def loglik_zt(data: Iterable[EventRecord], m: ModelSpec) -> float:
+def loglik_zt(data: EventTable, m: ModelSpec) -> float:
     """Log-likelihood of fully observed data under the zero-truncated model.
 
     Every record must have event = 1; censored records are rejected.
@@ -196,7 +198,7 @@ def loglik_zt(data: Iterable[EventRecord], m: ModelSpec) -> float:
     return _evaluate(m.kind, times, flags, m.params())[0]
 
 
-def loglik_ptm(data: Iterable[EventRecord], m: ModelSpec) -> float:
+def loglik_ptm(data: EventTable, m: ModelSpec) -> float:
     """Censored log-likelihood under the promotion-time model.
 
     Events contribute log density, censored records log survival.
@@ -379,7 +381,7 @@ def _wald_from_information(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_mle(
-    data: Iterable[EventRecord],
+    data: EventTable,
     kind: ModelKind,
     *,
     max_iterations: int = 200,
@@ -396,10 +398,12 @@ def fit_mle(
 
     Raises
     ------
+    TypeError
+        When ``data`` is not an EventTable.
     ValueError
-        On empty data, censored records under the zero-truncated kind, fewer
-        than two distinct event times, a negative ``max_iterations`` or a bad
-        ``initial``.
+        On a ``kind`` that is not a ModelKind, empty data, censored records
+        under the zero-truncated kind, fewer than two distinct event times, a
+        negative ``max_iterations`` or a bad ``initial``.
     NoEventsError
         On promotion-time data with no observed events.
     SingularInformationError

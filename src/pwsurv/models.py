@@ -269,6 +269,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"cohort size must be at least 1, got {self.n}")
         if self.seed < 0:

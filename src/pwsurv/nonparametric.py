@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .events import EventRecord, to_arrays
+from .events import EventTable, to_arrays
 
 __all__ = ["KmCurve", "kaplan_meier"]
 
@@ -37,7 +36,7 @@ class KmCurve:
         return float(out) if arr.ndim == 0 else out
 
 
-def kaplan_meier(data: Iterable[EventRecord]) -> KmCurve:
+def kaplan_meier(data: EventTable) -> KmCurve:
     """Product-limit estimate under right censoring.
 
     S(t) = prod over distinct event times t_i <= t of (1 - d_i / n_i), where

@@ -15,13 +15,13 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .events import EventRecord, EventTable, to_arrays
+from .events import EventTable, to_arrays
 from .models import ModelKind, cure_fraction, elgd_at_horizon, zt_poisson_mean
 
 # inference and nonparametric load inside the functions that use them, so `simulate` runs
@@ -69,8 +69,11 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
     None the model kind is inferred per cohort: fully observed cohorts get
     the zero-truncated model, cohorts with censoring the promotion-time
     model. Each record must fit on one physical line. Malformed input, and a
-    file that is not UTF-8, raises CsvFormatError naming the line.
+    file that is not UTF-8, raises CsvFormatError naming the line. A ``kind``
+    that is neither a ModelKind nor None raises ValueError.
     """
+    if kind is not None and not isinstance(kind, ModelKind):
+        raise ValueError(f"kind must be a ModelKind or None, got {kind!r}")
     owned = isinstance(source, (str, Path))
     stream = open(source, "r", encoding="utf-8", newline="") if owned else source
     try:
@@ -234,21 +237,15 @@ def _quoted(label: str) -> str:
     return buf.getvalue()[: -len(",\r\n")].replace("%", "%%")
 
 
-def write_events_csv(records: Iterable[EventRecord], dest) -> None:
-    """Write records in the input CSV schema; times keep 17 significant digits.
+def write_events_csv(table: EventTable, dest) -> None:
+    """Write a cohort in the input CSV schema; times keep 17 significant digits.
 
     Rows end in CRLF, as csv.writer writes them. A cohort label may not
     contain a line break (ValueError).
     """
-    if isinstance(records, EventTable):
-        tables = [records]
-    else:
-        # one table per run of records with the same label, in their order
-        runs = groupby(records, key=lambda r: r.cohort)
-        tables = [EventTable(*to_arrays(run), label) for label, run in runs]
+    columns = list(to_arrays(table))
     # time and flag as csv.writer writes "{:.17g}" and an int
-    groups = [("%.17g,%d," + _quoted(t.cohort) + "\r\n", [t.times, t.flags]) for t in tables]
-    _write_columns(dest, _HEADER, groups)
+    _write_columns(dest, _HEADER, [("%.17g,%d," + _quoted(table.cohort) + "\r\n", columns)])
 
 
 def _write_columns(dest, header: list[str], groups: list[tuple[str, list[np.ndarray]]]) -> None:
@@ -284,7 +281,7 @@ class SummaryRow:
     converged: bool
 
 
-def observed_unrecovered(records: Iterable[EventRecord], horizon: float) -> float:
+def observed_unrecovered(records: EventTable, horizon: float) -> float:
     """Empirical fraction still unrecovered at the horizon (KM estimate)."""
     from .nonparametric import kaplan_meier
 

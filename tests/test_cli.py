@@ -12,7 +12,7 @@ import pytest
 
 import pwsurv
 import pwsurv.cli as cli
-from pwsurv import EventRecord, ModelSpec, kaplan_meier, model_survival
+from pwsurv import EventTable, ModelSpec, kaplan_meier, model_survival
 from pwsurv.cli import main
 
 from test_report import LABELS, csv_text
@@ -220,7 +220,7 @@ class TestKm:
                      "--overlay-shape", "1.2", "--overlay-scale", "10"]
             model = (ModelSpec.zero_truncated if overlay == "zt" else ModelSpec.promotion_time)(0.8, 1.2, 10.0)
         for label in sorted(LABELS):
-            curve = kaplan_meier([EventRecord(t, d, label) for t, d in data[label]])
+            curve = kaplan_meier(EventTable(*zip(*data[label]), label))
             grid = np.concatenate(([0.0], curve.times))
             columns = [grid, curve.survival_at(grid)] + ([model_survival(grid, model)] if overlay else [])
             expected += [[label] + [f"{v:.17g}" for v in row] for row in zip(*(c.tolist() for c in columns))]

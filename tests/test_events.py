@@ -1,12 +1,25 @@
-"""The columnar cohort: validation, sequence behaviour, CSV writing, columns."""
+"""The columnar cohort: validation, equality, CSV writing, columns, and the one entry check."""
 
+import csv
 import io
-from unittest.mock import patch
+import math
 
 import numpy as np
 import pytest
 
-from pwsurv import EventRecord, EventTable, read_events_csv, to_arrays, write_events_csv
+from pwsurv import (
+    EventTable,
+    ModelKind,
+    ModelSpec,
+    fit_mle,
+    kaplan_meier,
+    loglik_ptm,
+    loglik_zt,
+    observed_unrecovered,
+    read_events_csv,
+    to_arrays,
+    write_events_csv,
+)
 
 
 def table(cohort="a"):
@@ -32,31 +45,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="one length"):
             EventTable(np.array([1.0, 2.0]), np.array([1]))
 
+    @pytest.mark.parametrize(
+        "times, flags, message",
+        [
+            ([1.0, 2.0, np.inf], [1, 1, 1], "record 2: time must be a finite number, got inf"),
+            ([1.0, math.nan], [1, 1], "record 1: time must be a finite number, got nan"),
+            ([1.0, 0.0, 3.0], [1, 1, 1], "record 1: time must be positive, got 0.0"),
+            ([1.0, 2.0, 3.0], [1, 0, 2], "record 2: event flag must be 0 or 1, got 2"),
+            ([1.0, 2.0], [1.0, 0.5], "record 1: event flag must be 0 or 1, got 0.5"),
+        ],
+    )
+    def test_message_is_word_for_word(self, times, flags, message):
+        with pytest.raises(ValueError) as info:
+            EventTable(np.array(times), np.array(flags))
+        assert str(info.value) == message
+
     def test_column_types(self):
         t = EventTable([1, 2], [True, False])
         assert t.times.dtype == np.float64 and t.flags.dtype == np.int64
 
 
 class TestSequence:
-    def test_index_gives_record_and_slice_gives_table(self):
-        t = table()
-        assert len(t) == 3
-        assert t[1] == EventRecord(2.0, 1, "a")
-        assert t[-1] == EventRecord(24.0, 0, "a")
-        assert isinstance(t[:2], EventTable) and len(t[:2]) == 2
-        with pytest.raises(IndexError):
-            t[3]
-
-    def test_equals_list_of_its_records(self):
-        t = table()
-        recs = [EventRecord(0.5, 1, "a"), EventRecord(2.0, 1, "a"), EventRecord(24.0, 0, "a")]
-        assert t == recs and recs == t
-        assert list(t) == recs
-        assert t == table()
-        assert t != table("b")
-        assert t != recs[:2]
-        assert t != recs[::-1]
-
     def test_tables_compare_by_columns(self):
         n = 100_000
         times, flags = np.linspace(1.0, 50.0, n), np.arange(n) % 2
@@ -64,14 +73,16 @@ class TestSequence:
         other_time, other_flag = times.copy(), flags.copy()
         other_time[-1] += 1.0
         other_flag[-1] = 1 - other_flag[-1]
-        shorter = big[:-1]
-        # comparing two tables builds no records
-        with patch.object(EventTable, "__getitem__", side_effect=AssertionError("record built")):
-            assert big == EventTable(times.copy(), flags.copy(), "c")
-            assert big != EventTable(other_time, flags, "c")
-            assert big != EventTable(times, other_flag, "c")
-            assert big != EventTable(times, flags, "d")
-            assert big != shorter
+        shorter = EventTable(times[:-1], flags[:-1], "c")
+        assert len(big) == n and len(shorter) == n - 1
+        assert big == EventTable(times.copy(), flags.copy(), "c")
+        assert big != EventTable(other_time, flags, "c")
+        assert big != EventTable(times, other_flag, "c")
+        assert big != EventTable(times, flags, "d")
+        assert big != shorter
+        # a table equals only a table
+        assert big != list(zip(times.tolist(), flags.tolist()))
+        assert table() == table() and table() != table("b")
 
 
 class TestColumns:
@@ -82,10 +93,49 @@ class TestColumns:
 
     @pytest.mark.parametrize("label", ["a", "a,b", 'say "x"'])
     def test_write_matches_writing_records(self, label):
+        # the table's rows as csv.writer writes them one by one, and read back
         t = table(label)
-        from_table, from_records = io.StringIO(), io.StringIO()
-        write_events_csv(t, from_table)
-        write_events_csv(list(t), from_records)
-        assert from_table.getvalue() == from_records.getvalue()
-        back = read_events_csv(io.StringIO(from_table.getvalue()))
+        buf, expected = io.StringIO(), io.StringIO()
+        write_events_csv(t, buf)
+        writer = csv.writer(expected)
+        writer.writerow(["time", "event", "cohort"])
+        for time, flag in zip(t.times.tolist(), t.flags.tolist()):
+            writer.writerow([f"{time:.17g}", flag, label])
+        assert buf.getvalue() == expected.getvalue()
+        back = read_events_csv(io.StringIO(buf.getvalue()))
         assert back[0].cohort == label and back[0].records == t
+
+
+# a cohort held as rows rather than as a table
+ROWS = [(0.5, 1), (2.0, 1), (24.0, 0)]
+
+
+class TestOnlyTables:
+    def test_to_arrays_rejects_anything_but_a_table(self):
+        for other in (ROWS, (table().times, table().flags), None):
+            with pytest.raises(TypeError, match="expected an EventTable, got"):
+                to_arrays(other)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rows: fit_mle(rows, ModelKind.PROMOTION_TIME),
+            lambda rows: loglik_zt(rows, ModelSpec.zero_truncated(1.0, 1.0, 1.0)),
+            lambda rows: loglik_ptm(rows, ModelSpec.promotion_time(1.0, 1.0, 1.0)),
+            lambda rows: kaplan_meier(rows),
+            lambda rows: observed_unrecovered(rows, 24.0),
+        ],
+        ids=["fit_mle", "loglik_zt", "loglik_ptm", "kaplan_meier", "observed_unrecovered"],
+    )
+    def test_entry_points_reject_rows(self, call):
+        with pytest.raises(TypeError, match="expected an EventTable, got list"):
+            call(ROWS)
+
+    def test_writer_rejects_rows_and_writes_nothing(self, tmp_path):
+        buf = io.StringIO()
+        with pytest.raises(TypeError, match="expected an EventTable, got list"):
+            write_events_csv(ROWS, buf)
+        assert buf.getvalue() == ""
+        with pytest.raises(TypeError, match="expected an EventTable, got list"):
+            write_events_csv(ROWS, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from pwsurv import (
-    EventRecord,
+    EventTable,
     FitResult,
     LatentCountParams,
     ModelKind,
@@ -46,11 +47,12 @@ from cohorts import DEFAULT_FITS, RECOVERY_FITS, estimates
 
 
 def events(times):
-    return [EventRecord(t, 1) for t in times]
+    return EventTable(times, np.ones(len(times), dtype=int))
 
 
 def mixed(pairs):
-    return [EventRecord(t, d) for t, d in pairs]
+    times, flags = zip(*pairs)
+    return EventTable(times, flags)
 
 
 PIN_THETAS = [1e-8, 1e-3, 2.0, 50.0, 710.0]
@@ -91,13 +93,13 @@ class TestLoglik:
     def test_ptm_single_records(self):
         m = ModelSpec.promotion_time(0.8, 1.2, 10.0)
         # censored record contributes -theta * F(tau)
-        assert loglik_ptm([EventRecord(6.0, 0)], m) == pytest.approx(-0.33460641971530735, rel=1e-13)
-        assert loglik_ptm([EventRecord(6.0, 1)], m) == pytest.approx(np.log(ptm_density(6.0, m)), rel=1e-13)
+        assert loglik_ptm(mixed([(6.0, 0)]), m) == pytest.approx(-0.33460641971530735, rel=1e-13)
+        assert loglik_ptm(mixed([(6.0, 1)]), m) == pytest.approx(np.log(ptm_density(6.0, m)), rel=1e-13)
         for theta, t in itertools.product(PIN_THETAS, PIN_TIMES):
             m = ModelSpec.promotion_time(theta, 1.2, 10.0)
-            censored = np.exp(loglik_ptm([EventRecord(t, 0)], m))
+            censored = np.exp(loglik_ptm(mixed([(t, 0)]), m))
             assert censored == pytest.approx(ptm_survival(t, m), rel=1e-12), (theta, t)
-            event = np.exp(loglik_ptm([EventRecord(t, 1)], m))
+            event = np.exp(loglik_ptm(mixed([(t, 1)]), m))
             assert event == pytest.approx(ptm_density(t, m), rel=1e-12), (theta, t)
 
     def test_kind_mismatch_rejected(self):
@@ -111,11 +113,11 @@ class TestLoglik:
         with pytest.raises(ValueError):
             loglik_zt(mixed([(1.0, 1), (2.0, 0)]), m)
         with pytest.raises(ValueError):
-            loglik_zt([], m)
+            loglik_zt(EventTable([], []), m)
 
     def test_ptm_rejects_empty(self):
         with pytest.raises(ValueError):
-            loglik_ptm([], ModelSpec.promotion_time(1.0, 1.0, 1.0))
+            loglik_ptm(EventTable([], []), ModelSpec.promotion_time(1.0, 1.0, 1.0))
 
     def test_permutation_leaves_loglik_nearly_unchanged(self):
         rng = np.random.default_rng(3)
@@ -238,10 +240,10 @@ class TestCollapsedPairs:
     def test_public_logliks_equal_the_kernel_helpers(self):
         p = (0.9, 1.3, 8.0)
         times, flags = self.monthly(ModelKind.ZERO_TRUNCATED)
-        recs = mixed(zip(times.tolist(), flags.tolist()))
+        recs = EventTable(times, flags)
         assert loglik_zt(recs, ModelSpec.zero_truncated(*p)) == _zt_loglik(times, *p)
         times, flags = self.monthly(ModelKind.PROMOTION_TIME)
-        recs = mixed(zip(times.tolist(), flags.tolist()))
+        recs = EventTable(times, flags)
         assert loglik_ptm(recs, ModelSpec.promotion_time(*p)) == _ptm_loglik(times, flags, *p)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -274,7 +276,7 @@ class TestFitMle:
         assert fit.converged
         for est, se, true in zip(fit.estimates, fit.se, truth):
             assert abs(est - true) < 3.0 * se
-        censored_frac = sum(1 for r in recs if r.event == 0) / len(recs)
+        censored_frac = np.count_nonzero(recs.flags == 0) / len(recs)
         assert abs(elgd_at_horizon(fit.model, 24.0) - censored_frac) < 0.01
 
     def test_converged_fit_satisfies_wald_identities(self):
@@ -312,8 +314,8 @@ class TestFitMle:
         m = ModelSpec.zero_truncated(1.8, 1.5, 2.0)
         recs = simulate_cohort(SimConfig(model=m, n=500, horizon=math.inf, seed=21))
         fit = fit_mle(recs, ModelKind.ZERO_TRUNCATED)
-        shuffled = list(recs)
-        np.random.default_rng(0).shuffle(shuffled)
+        order = np.random.default_rng(0).permutation(len(recs))
+        shuffled = EventTable(recs.times[order], recs.flags[order])
         fit2 = fit_mle(shuffled, ModelKind.ZERO_TRUNCATED)
         np.testing.assert_allclose(fit2.estimates, fit.estimates, atol=1e-10)
         assert fit2.loglik == pytest.approx(fit.loglik, abs=1e-10)
@@ -369,7 +371,13 @@ class TestFitMle:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit_mle([], ModelKind.ZERO_TRUNCATED)
+            fit_mle(EventTable([], []), ModelKind.ZERO_TRUNCATED)
+
+    @pytest.mark.parametrize("kind", ["zt", "ptm", None])
+    def test_kind_is_checked_before_the_records_are_grouped(self, kind):
+        with patch("pwsurv.inference._collapse", side_effect=AssertionError("_collapse reached")):
+            with pytest.raises(ValueError, match=f"^kind must be a ModelKind, got {kind!r}$"):
+                fit_mle(PTM_TOY_10, kind)
 
     def test_negative_max_iterations_rejected(self):
         with pytest.raises(ValueError, match="max_iterations must be nonnegative, got -3"):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from pwsurv import EventRecord, EventTable, kaplan_meier
+from pwsurv import EventTable, kaplan_meier
 from pwsurv.nonparametric import _collapse
 
 
 def records(times, flags, cohort=""):
-    return [EventRecord(t, d, cohort) for t, d in zip(times, flags)]
+    return EventTable(times, flags, cohort)
 
 
 # every censoring pattern of three distinct times (1, 2, 3):
@@ -54,7 +54,7 @@ class TestThreeRecordOracle:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            kaplan_meier([])
+            kaplan_meier(records((), ()))
 
 
 class TestEcdfIdentity:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from pwsurv import (
     CsvFormatError,
-    EventRecord,
     EventTable,
     FitResult,
     ModelKind,
@@ -71,7 +70,7 @@ class TestReadEventsCsv:
         assert len(out) == 1
         ds = out[0]
         assert ds.cohort == "a"
-        assert ds.records == [EventRecord(1.5, 1, "a"), EventRecord(2.0, 1, "a")]
+        assert ds.records == EventTable([1.5, 2.0], [1, 1], "a")
         assert ds.kind is ModelKind.ZERO_TRUNCATED
 
     def test_kind_inference_per_cohort(self):
@@ -83,10 +82,15 @@ class TestReadEventsCsv:
         out = parse("time,event,cohort\n1.5,1,a\n2.0,1,b\n", kind=ModelKind.PROMOTION_TIME)
         assert all(ds.kind is ModelKind.PROMOTION_TIME for ds in out)
 
+    @pytest.mark.parametrize("kind", ["zt", "ptm", 1])
+    def test_kind_must_be_a_model_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^kind must be a ModelKind or None, got {kind!r}$"):
+            parse("time,event,cohort\n1.5,1,a\n", kind=kind)
+
     def test_cohorts_keep_first_appearance_order(self):
         out = parse("time,event,cohort\n1,1,z\n2,1,a\n3,1,z\n")
         assert [ds.cohort for ds in out] == ["z", "a"]
-        assert [r.time for r in out[0].records] == [1.0, 3.0]
+        assert out[0].records.times.tolist() == [1.0, 3.0]
 
     def test_missing_header(self):
         with pytest.raises(CsvFormatError, match="line 1"):
@@ -147,8 +151,8 @@ class TestReadEventsCsv:
     def test_reads_from_path(self, tmp_path):
         p = tmp_path / "events.csv"
         p.write_text("time,event,cohort\n1.5,1,a\n")
-        assert read_events_csv(p)[0].records == [EventRecord(1.5, 1, "a")]
-        assert read_events_csv(str(p))[0].records == [EventRecord(1.5, 1, "a")]
+        assert read_events_csv(p)[0].records == EventTable([1.5], [1], "a")
+        assert read_events_csv(str(p))[0].records == EventTable([1.5], [1], "a")
 
     def test_byte_order_mark_on_header_is_ignored(self, tmp_path):
         text = "time,event,cohort\n1.5,1,a\n2.5,0,b\n"
@@ -193,45 +197,26 @@ class TestCsvRoundTrip:
         assert back[0].records == recs
 
     def test_awkward_floats_are_lossless(self):
-        recs = [
-            EventRecord(0.1 + 0.2, 1, "a"),
-            EventRecord(1.0 / 3.0, 0, "a"),
-            EventRecord(math.pi, 1, "a"),
-            EventRecord(1e-300, 1, "a"),
-        ]
+        recs = EventTable([0.1 + 0.2, 1.0 / 3.0, math.pi, 1e-300], [1, 0, 1, 1], "a")
         buf = io.StringIO()
         write_events_csv(recs, buf)
         back = read_events_csv(io.StringIO(buf.getvalue()))
         assert back[0].records == recs
 
     def test_bool_event_flags_survive(self):
-        recs = [EventRecord(1.0, True, "a"), EventRecord(2.0, False, "a")]
+        recs = EventTable([1.0, 2.0], [True, False], "a")
         buf = io.StringIO()
         write_events_csv(recs, buf)
         assert buf.getvalue() == "time,event,cohort\r\n1,1,a\r\n2,0,a\r\n"
         assert read_events_csv(io.StringIO(buf.getvalue()))[0].records == recs
 
-    def test_interleaved_labels_keep_row_order(self):
-        recs = [EventRecord(1.5, 1, "a"), EventRecord(2.0, 0, "b"), EventRecord(0.25, 1, "a")]
-        buf = io.StringIO()
-        write_events_csv(recs, buf)
-        assert buf.getvalue() == "time,event,cohort\r\n1.5,1,a\r\n2,0,b\r\n0.25,1,a\r\n"
-
-    def test_bad_label_after_good_runs_writes_nothing(self):
-        recs = [EventRecord(1.0, 1, "a"), EventRecord(2.0, 1, "b"), EventRecord(3.0, 1, "c\n")]
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="line break"):
-            write_events_csv(recs, buf)
-        assert buf.getvalue() == ""
-
     @pytest.mark.parametrize("label", ["a\nb", "a\r", "\r\n"])
     def test_label_with_line_break_is_not_written(self, label):
         table = EventTable(np.array([1.0]), np.array([1]), label)
-        for records in (table, list(table)):
-            buf = io.StringIO()
-            with pytest.raises(ValueError, match="line break"):
-                write_events_csv(records, buf)
-            assert buf.getvalue() == ""
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="line break"):
+            write_events_csv(table, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("label", LABELS)
     def test_event_write_matches_csv_writer(self, label):
@@ -240,10 +225,9 @@ class TestCsvRoundTrip:
             [["time", "event", "cohort"]]
             + [[f"{t:.17g}", d, label] for t, d in zip(table.times.tolist(), table.flags.tolist())]
         )
-        for records in (table, list(table)):
-            buf = io.StringIO()
-            write_events_csv(records, buf)
-            assert buf.getvalue() == expected
+        buf = io.StringIO()
+        write_events_csv(table, buf)
+        assert buf.getvalue() == expected
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_overlay_write_matches_csv_writer(self, with_model):
@@ -301,7 +285,7 @@ class TestCsvRoundTrip:
         assert not (tmp_path / "km.csv").exists()
 
     def test_cohort_labels_with_commas_survive(self):
-        recs = [EventRecord(1.0, 1, "a,b")]
+        recs = EventTable([1.0], [1], "a,b")
         buf = io.StringIO()
         write_events_csv(recs, buf)
         back = read_events_csv(io.StringIO(buf.getvalue()))
@@ -361,7 +345,7 @@ class TestSummaryTable:
 
 class TestObservedUnrecovered:
     def test_kaplan_meier_fraction_at_horizon(self):
-        recs = [EventRecord(10.0, 1, "c"), EventRecord(24.0, 0, "c"), EventRecord(24.0, 0, "c")]
+        recs = EventTable([10.0, 24.0, 24.0], [1, 0, 0], "c")
         assert observed_unrecovered(recs, 24.0) == pytest.approx(2.0 / 3.0)
 
 

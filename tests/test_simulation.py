@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pwsurv import (
+    EventTable,
     ModelKind,
     ModelSpec,
     SimConfig,
@@ -26,6 +27,20 @@ class TestSimConfig:
             SimConfig(model=m, n=0, horizon=1.0, seed=0)
         with pytest.raises(ValueError):
             SimConfig(model=m, n=5, horizon=0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", 10.0), ("n", True), ("n", "10"), ("seed", 1.5), ("seed", False)]
+    )
+    def test_size_and_seed_must_be_integers(self, field, value):
+        m = ModelSpec.zero_truncated(1.0, 1.0, 1.0)
+        fields = {"n": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SimConfig(model=m, horizon=1.0, **fields)
+
+    def test_numpy_integers_are_integers(self):
+        m = ModelSpec.zero_truncated(1.0, 1.0, 1.0)
+        cfg = SimConfig(model=m, n=np.int64(10), horizon=math.inf, seed=np.uint32(1))
+        assert simulate_cohort(cfg) == simulate_cohort(SimConfig(model=m, n=10, horizon=math.inf, seed=1))
 
     def test_ptm_requires_finite_horizon(self):
         m = ModelSpec.promotion_time(1.0, 1.0, 1.0)
@@ -92,7 +107,7 @@ class TestSimulateCohort:
         # subject i's record depends only on (seed, i), not on cohort size
         small = simulate_cohort(SimConfig(model=m, n=20, horizon=24.0, seed=11))
         large = simulate_cohort(SimConfig(model=m, n=500, horizon=24.0, seed=11))
-        assert large[:20] == small
+        assert EventTable(large.times[:20], large.flags[:20], large.cohort) == small
 
     @pytest.mark.parametrize(
         "m, horizon, seed, rows",
@@ -126,27 +141,26 @@ class TestSimulateCohort:
     def test_cohort_label_attached(self):
         m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
         recs = simulate_cohort(SimConfig(model=m, n=5, horizon=math.inf, seed=0), cohort="x")
-        assert all(r.cohort == "x" for r in recs)
+        assert recs.cohort == "x" and len(recs) == 5
 
     def test_zt_with_infinite_horizon_is_fully_observed(self):
         m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
         recs = simulate_cohort(SimConfig(model=m, n=500, horizon=math.inf, seed=4))
-        assert all(r.event == 1 for r in recs)
-        assert all(r.time > 0.0 for r in recs)
+        assert np.all(recs.flags == 1)
+        assert np.all(recs.times > 0.0)
 
     def test_censoring_clamps_time_to_horizon(self):
         m = ModelSpec.promotion_time(0.8, 1.2, 10.0)
         recs = simulate_cohort(SimConfig(model=m, n=500, horizon=5.0, seed=4))
-        for r in recs:
-            if r.event == 0:
-                assert r.time == 5.0
-            else:
-                assert 0.0 < r.time <= 5.0
+        censored = recs.flags == 0
+        assert np.all(recs.times[censored] == 5.0)
+        event_times = recs.times[~censored]
+        assert np.all((0.0 < event_times) & (event_times <= 5.0))
 
     def test_tiny_theta_ptm_is_mostly_cured(self):
         m = ModelSpec.promotion_time(0.01, 1.2, 10.0)
         recs = simulate_cohort(SimConfig(model=m, n=300, horizon=24.0, seed=5))
-        censored = sum(1 for r in recs if r.event == 0)
+        censored = np.count_nonzero(recs.flags == 0)
         assert censored > 280
 
 
@@ -155,7 +169,7 @@ class TestDistributionalConsistency:
         m = default_spec("2006")
         n = 20000
         recs = simulate_cohort(SimConfig(model=m, n=n, horizon=math.inf, seed=0))
-        times = np.array([r.time for r in recs])
+        times = recs.times
         grid = np.linspace(0.02, 0.6, 80)
         emp = np.array([(times > t).mean() for t in grid])
         model = model_survival(grid, m)
@@ -165,7 +179,7 @@ class TestDistributionalConsistency:
         m = recovery_spec("2009")
         n = 20000
         recs = simulate_cohort(SimConfig(model=m, n=n, horizon=24.0, seed=0))
-        times = np.array([r.time for r in recs])
+        times = recs.times
         # all censoring sits at the horizon, so below it the empirical
         # survivor function is exact
         grid = np.linspace(0.5, 23.5, 80)
@@ -177,7 +191,7 @@ class TestDistributionalConsistency:
         m = recovery_spec("2010")
         n = 20000
         recs = simulate_cohort(SimConfig(model=m, n=n, horizon=24.0, seed=1))
-        frac = sum(1 for r in recs if r.event == 0) / n
+        frac = np.count_nonzero(recs.flags == 0) / n
         p = ptm_survival(24.0, m)
         assert abs(frac - p) < 3.0 * math.sqrt(p * (1.0 - p) / n)
 
@@ -185,5 +199,5 @@ class TestDistributionalConsistency:
         # the 2007 recovery cohort leaves about 78.057% unrecovered at 24
         m = recovery_spec("2007")
         recs = simulate_cohort(SimConfig(model=m, n=20000, horizon=24.0, seed=2))
-        frac = sum(1 for r in recs if r.event == 0) / len(recs)
+        frac = np.count_nonzero(recs.flags == 0) / len(recs)
         assert frac == pytest.approx(0.78057, abs=0.01)
