@@ -48,14 +48,10 @@ write_overlay_csv = _deferred("report", "write_overlay_csv")
 _KINDS = {"zt": ModelKind.ZERO_TRUNCATED, "ptm": ModelKind.PROMOTION_TIME}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for non-convergence; route usage errors to 1
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,8 +114,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _fit_cohorts(args) -> list:
     """Read the input and fit each cohort: (dataset, fit or the error that stopped it)."""
-    from .inference import SingularInformationError
-
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be nonnegative")
     if not args.horizon > 0.0:  # also NaN; inf is allowed
@@ -133,7 +127,7 @@ def _fit_cohorts(args) -> list:
     for ds in datasets:
         try:
             results.append((ds, fit_mle(ds.records, ds.kind, **limit)))
-        except (SingularInformationError, ValueError) as exc:  # NoEventsError is a ValueError
+        except ValueError as exc:  # NoEventsError and SingularInformationError are ValueErrors
             results.append((ds, exc))
     return results
 
@@ -223,7 +217,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return handlers[args.command](args)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,13 @@ __all__ = ["EventTable", "to_arrays"]
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
-    """One cohort as columns: float64 times, int64 0/1 event flags and a label.
+    """One cohort as columns: float64 times, int64 0/1 event flags and a str label.
 
     A flag is 1 when the event of interest was observed at its time and 0
     when the record was right-censored there. Every time must be positive and
-    finite, checked at once; the error names the first bad index. Two tables
-    are equal when their columns and labels are.
+    finite, checked at once; the error names the first bad index. The table
+    keeps read-only copies of the columns it was given, so what was checked
+    stays true. Two tables are equal when their columns and labels are.
     """
 
     times: np.ndarray
@@ -24,7 +25,9 @@ class EventTable:
     cohort: str = ""
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        if not isinstance(self.cohort, str):
+            raise ValueError(f"cohort label must be a str, got {self.cohort!r}")
+        times = np.array(self.times, dtype=float)  # a copy: the caller's arrays stay the caller's
         flags = np.asarray(self.flags)
         if times.ndim != 1 or flags.shape != times.shape:
             raise ValueError("times and flags must be 1-d columns of one length")
@@ -39,7 +42,8 @@ class EventTable:
                 raise ValueError(f"record {i}: time must be positive, got {time}")
             raise ValueError(f"record {i}: event flag must be 0 or 1, got {flags[i].item()!r}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "flags", flags.astype(np.int64, copy=False))
+        object.__setattr__(self, "flags", flags.astype(np.int64))  # a copy too
+        self.times.flags.writeable = self.flags.flags.writeable = False
 
     def __len__(self) -> int:
         return self.times.size
@@ -55,7 +59,7 @@ class EventTable:
 
 
 def to_arrays(table: EventTable) -> tuple[np.ndarray, np.ndarray]:
-    """The time and event-flag columns of a table, without a copy; anything else is a TypeError."""
+    """The table's own read-only time and event-flag columns; anything else is a TypeError."""
     if not isinstance(table, EventTable):
         raise TypeError(f"expected an EventTable, got {type(table).__name__}")
     return table.times, table.flags

@@ -40,8 +40,8 @@ class NoEventsError(ValueError):
     """Raised when a promotion-time fit is attempted on fully censored data."""
 
 
-class SingularInformationError(RuntimeError):
-    """Raised when the observed information matrix cannot be inverted."""
+class SingularInformationError(ValueError):
+    """Raised when a converged fit's observed information is not finite or not positive definite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,41 +343,25 @@ def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, max_iteration
     return p, ll, hess, tuple(trace), converged, iterations, gnorm
 
 
-def _name_singular_parameter(info: np.ndarray) -> str:
-    diag = np.diag(info)
-    bad = ~np.isfinite(diag)
-    if np.any(bad):
-        return PARAM_NAMES[int(np.argmax(bad))]
-    if np.any(diag <= 0.0):
-        return PARAM_NAMES[int(np.argmin(diag))]
-    # Direction of (near) zero curvature: dominant component of the smallest
-    # eigenvalue's eigenvector.
-    _, vecs = np.linalg.eigh(info)
-    return PARAM_NAMES[int(np.argmax(np.abs(vecs[:, 0])))]
-
-
 def _wald_from_information(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance and standard errors from the observed information matrix."""
-    if not np.all(np.isfinite(info)):
+    """Covariance and standard errors at a maximum, where the information is finite and positive definite.
+
+    Any other information raises SingularInformationError naming the parameter at fault.
+    """
+    bad = ~np.isfinite(info)
+    if bad.any():
+        # the first non-finite diagonal entry, else the first row holding a non-finite entry
+        i = int(np.argmax(bad.diagonal() if bad.diagonal().any() else bad.any(axis=1)))
+        raise SingularInformationError(f"observed information is not finite for parameter '{PARAM_NAMES[i]}'")
+    values, vectors = np.linalg.eigh(info)
+    if values[0] <= 0.0:
+        # the direction of least curvature, named by its dominant component
+        name = PARAM_NAMES[int(np.argmax(np.abs(vectors[:, 0])))]
         raise SingularInformationError(
-            f"observed information is not finite for parameter "
-            f"'{_name_singular_parameter(info)}'"
+            f"observed information is not positive definite; parameter '{name}' is not identified"
         )
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformationError(
-            f"observed information matrix is singular; parameter "
-            f"'{_name_singular_parameter(info)}' is not identified"
-        ) from exc
-    var = np.diag(cov)
-    if np.any(var <= 0.0):
-        bad = PARAM_NAMES[int(np.argmin(var))]
-        raise SingularInformationError(
-            f"observed information is not positive definite; variance for "
-            f"'{bad}' is nonpositive"
-        )
-    return cov, np.sqrt(var)
+    cov = np.linalg.inv(info)
+    return cov, np.sqrt(np.diag(cov))
 
 
 def fit_mle(
@@ -403,12 +387,15 @@ def fit_mle(
     ValueError
         On a ``kind`` that is not a ModelKind, empty data, censored records
         under the zero-truncated kind, fewer than two distinct event times, a
-        negative ``max_iterations`` or a bad ``initial``.
+        ``max_iterations`` that is not a nonnegative integer or a bad ``initial``.
     NoEventsError
-        On promotion-time data with no observed events.
+        A ValueError: on promotion-time data with no observed events.
     SingularInformationError
-        When the information matrix at a converged optimum is singular.
+        A ValueError: when the observed information at a converged optimum
+        is not finite or not positive definite.
     """
+    if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     times, flags = to_arrays(data)

@@ -12,7 +12,7 @@ import pytest
 
 import pwsurv
 import pwsurv.cli as cli
-from pwsurv import EventTable, ModelSpec, kaplan_meier, model_survival
+from pwsurv import EventTable, ModelSpec, SingularInformationError, kaplan_meier, model_survival
 from pwsurv.cli import main
 
 from test_report import LABELS, csv_text
@@ -290,6 +290,51 @@ class TestCohortFailure:
         out = capsys.readouterr().out
         assert "cohort bad [ptm]\n  FAILED:" in out
         assert any(line.startswith("good ") for line in out.splitlines())
+
+    SINGULAR = "observed information is not positive definite; parameter 'shape' is not identified"
+
+    @pytest.fixture()
+    def singular_csv(self, mixed_csv, monkeypatch):
+        # the good cohort, and a copy of it labelled "singular" whose fit raises
+        rows = [line for line in mixed_csv.read_text().splitlines(keepends=True) if line.endswith(",good\n")]
+        mixed_csv.write_text("time,event,cohort\n" + "".join(rows) + "".join(rows).replace(",good", ",singular"))
+        real = cli.fit_mle
+
+        def fit(records, kind, **kwargs):
+            if records.cohort == "singular":
+                raise SingularInformationError(self.SINGULAR)
+            return real(records, kind, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_mle", fit)
+        return mixed_csv
+
+    def test_singular_information_fails_only_its_cohort(self, singular_csv, capsys):
+        assert main(["fit", "--input", str(singular_csv)]) == 1
+        out = capsys.readouterr().out
+        assert "cohort good [ptm]" in out and "log-likelihood" in out
+        assert f"cohort singular [ptm]\n  FAILED: {self.SINGULAR}" in out
+
+        assert main(["fit", "--input", str(singular_csv), "--format", "json"]) == 1
+        fits = {f["cohort"]: f for f in json.loads(capsys.readouterr().out)["fits"]}
+        assert fits["good"]["converged"] is True
+        assert fits["singular"] == {"cohort": "singular", "model": "ptm", "error": self.SINGULAR}
+
+        assert main(["report", "--input", str(singular_csv)]) == 1
+        out = capsys.readouterr().out
+        assert f"cohort singular [ptm]\n  FAILED: {self.SINGULAR}" in out
+        lines = out.splitlines()
+        assert any(line.startswith("good ") for line in lines)
+        assert not any(line.startswith("singular ") for line in lines)
+
+    def test_unexpected_fit_error_propagates(self, mixed_csv, monkeypatch):
+        # a defect in the fit must not pass as a failed cohort
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken fit")
+
+        monkeypatch.setattr(cli, "fit_mle", broken)
+        for command in (["fit"], ["fit", "--format", "json"], ["report"]):
+            with pytest.raises(RuntimeError, match="broken fit"):
+                main([*command, "--input", str(mixed_csv)])
 
     @pytest.mark.parametrize(
         "rows, kind",

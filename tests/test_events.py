@@ -64,6 +64,39 @@ class TestValidation:
         t = EventTable([1, 2], [True, False])
         assert t.times.dtype == np.float64 and t.flags.dtype == np.int64
 
+    @pytest.mark.parametrize("label", [5, None, b"a"])
+    def test_label_must_be_a_str(self, label):
+        with pytest.raises(ValueError) as info:
+            EventTable([1.0], [1], cohort=label)
+        assert str(info.value) == f"cohort label must be a str, got {label!r}"
+
+
+class TestOwnership:
+    """A table keeps read-only copies, so a write elsewhere cannot undo its checks."""
+
+    def test_later_write_to_callers_times_is_not_seen(self):
+        times = np.array([1.0, 2.0, 3.0])
+        t = EventTable(times, np.array([1, 1, 1]))
+        times[0] = -5.0
+        np.testing.assert_array_equal(t.times, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(kaplan_meier(t).times, [1.0, 2.0, 3.0])
+
+    def test_later_write_to_callers_flags_is_not_seen(self):
+        flags = np.array([1, 0, 1])
+        t = EventTable(np.array([1.0, 2.0, 3.0]), flags)
+        flags[1] = 7
+        np.testing.assert_array_equal(t.flags, [1, 0, 1])
+
+    def test_columns_are_read_only(self):
+        t = table()
+        times, flags = to_arrays(t)
+        with pytest.raises(ValueError, match="read-only"):
+            times[2] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            flags[0] = 7
+        np.testing.assert_array_equal(t.times, [0.5, 2.0, 24.0])
+        np.testing.assert_array_equal(t.flags, [1, 1, 0])
+
 
 class TestSequence:
     def test_tables_compare_by_columns(self):

@@ -383,6 +383,16 @@ class TestFitMle:
         with pytest.raises(ValueError, match="max_iterations must be nonnegative, got -3"):
             fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, max_iterations=-3)
 
+    @pytest.mark.parametrize("cap", [True, 0.5, 2.5, math.nan, np.float64(3.0), "5"], ids=repr)
+    def test_non_integer_max_iterations_rejected(self, cap):
+        with pytest.raises(ValueError) as info:
+            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, max_iterations=cap)
+        assert str(info.value) == f"max_iterations must be an integer, got {cap!r}"
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        fit = fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, max_iterations=np.int64(200))
+        assert fit.converged and fit.iterations == fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED).iterations
+
     def test_bad_initial_rejected(self):
         with pytest.raises(ValueError):
             fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, initial=(-1.0, 1.0, 1.0))
@@ -466,3 +476,22 @@ class TestSingularInformation:
     def test_healthy_information_passes(self):
         cov, se = _wald_from_information(np.diag([4.0, 16.0, 25.0]))
         np.testing.assert_allclose(se, [0.5, 0.25, 0.2])
+
+    def test_indefinite_information_is_rejected(self):
+        # a saddle point: the inverse has a positive diagonal, but one eigenvalue is -3
+        info = np.array([[-1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.all(np.diag(np.linalg.inv(info)) > 0.0)
+        with pytest.raises(
+            SingularInformationError,
+            match=r"^observed information is not positive definite; parameter '(theta|shape)' is not identified$",
+        ):
+            _wald_from_information(info)
+
+    def test_non_finite_off_diagonal_names_its_row(self):
+        info = np.diag([4.0, 1.0, 9.0])
+        info[1, 2] = info[2, 1] = np.nan
+        with pytest.raises(SingularInformationError, match="^observed information is not finite for parameter 'shape'$"):
+            _wald_from_information(info)
+
+    def test_is_a_value_error(self):
+        assert issubclass(SingularInformationError, ValueError)
