@@ -215,56 +215,43 @@ _MAX_HALVINGS = 40
 _GRADIENT_TOL = 1e-8
 
 
-def _weibull_plot_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Shape/scale from the least-squares line y = shape * (log t - log scale), if valid."""
-    slope, intercept = np.polyfit(np.log(t), y, 1)
-    if np.isfinite(slope) and slope > 0.0:
-        scale = float(np.exp(-intercept / slope))
-        if np.isfinite(scale) and scale > 0.0:
-            return float(slope), scale
-    return None
-
-
-def _km_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
-    """Starting shape/scale from a least-squares Weibull plot of the KM curve.
-
-    Regresses log(-log S(t)) on log t over event times with 0 < S < 1; falls
-    back to shape 1 and the mean time when the regression is degenerate.
-    """
-    keep = (curve.survival > 0.0) & (curve.survival < 1.0)
-    if np.count_nonzero(keep) >= 2:
-        fit = _weibull_plot_fit(curve.times[keep], np.log(-np.log(curve.survival[keep])))
-        if fit is not None:
-            return fit
-    return 1.0, float(np.mean(times))
-
-
-def _ptm_weibull_init(curve: KmCurve, times: np.ndarray) -> tuple[float, float]:
-    """Starting shape/scale for the promotion-time fit.
-
-    Under that model -ln S_KM(t) estimates theta*F(t), so the KM plot
-    plateaus instead of diverging; rescaling by its terminal value recovers
-    the shape of the base CDF, which then feeds the usual Weibull plot.
-    """
-    keep = curve.survival > 0.0
-    cum = -np.log(curve.survival[keep])
-    t = curve.times[keep]
-    if t.size >= 2 and cum[-1] > 0.0:
-        frac = cum / cum[-1]
-        mid = (frac > 0.01) & (frac < 0.99)
-        if np.count_nonzero(mid) >= 2:
-            fit = _weibull_plot_fit(t[mid], np.log(-np.log1p(-frac[mid])))
-            if fit is not None:
-                return fit
-    return _km_weibull_init(curve, times)
-
-
 def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Start values: shape and scale from the first valid Weibull plot of the KM curve.
+
+    The plots are tried in order. For ptm, -ln S_KM(t) estimates theta*F(t), so
+    the KM plot plateaus instead of diverging; rescaling it by its terminal
+    value recovers F, whose plot comes first. Then, for both kinds, the plain
+    plot of log(-log S) on log t over event times with 0 < S < 1. A plot
+    qualifies with at least two points and a least-squares line
+    y = shape * (log t - log scale) of positive finite shape and scale; when
+    none does the start is shape 1 and the mean time. theta starts at 1 for zt
+    and at its clipped profile value for ptm.
+    """
+    survival = curve.survival
+    plots = []
+    if kind is ModelKind.PROMOTION_TIME:
+        keep = survival > 0.0
+        cum = -np.log(survival[keep])
+        if cum.size >= 2 and cum[-1] > 0.0:
+            frac = cum / cum[-1]
+            mid = (frac > 0.01) & (frac < 0.99)
+            plots.append((curve.times[keep][mid], np.log(-np.log1p(-frac[mid]))))
+    keep = (survival > 0.0) & (survival < 1.0)
+    plots.append((curve.times[keep], np.log(-np.log(survival[keep]))))
+    for t, y in plots:
+        if t.size >= 2:
+            slope, intercept = np.polyfit(np.log(t), y, 1)
+            if np.isfinite(slope) and slope > 0.0:
+                scale0 = float(np.exp(-intercept / slope))
+                if np.isfinite(scale0) and scale0 > 0.0:
+                    shape0 = float(slope)
+                    break
+    else:
+        shape0, scale0 = 1.0, float(np.mean(times))
+
     if kind is ModelKind.ZERO_TRUNCATED:
-        shape0, scale0 = _km_weibull_init(curve, times)
         theta0 = 1.0
     else:
-        shape0, scale0 = _ptm_weibull_init(curve, times)
         # profile value: d loglik / d theta = 0 at theta = events / sum F(t_i)
         cdf_sum = float(np.sum(-np.expm1(-((times / scale0) ** shape0))))
         if cdf_sum > 0.0:
@@ -278,21 +265,22 @@ def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: n
 def _ascent_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Newton direction, ridge-damped when the Hessian is not negative definite.
 
-    Solves (H - lam*I) d = -g with lam = 0 first, then with lam grown until the
-    shifted matrix is negative definite. Keeps curvature scaling in the concave
-    directions instead of collapsing to a raw gradient step, which crawls on
-    ridge-shaped likelihoods; that step is left only for a non-finite H.
+    Solves (H - lam*I) d = -g. H - lam*I is negative definite exactly when lam
+    exceeds H's top eigenvalue, so lam = 0 when that eigenvalue is negative and
+    otherwise the least ridge*4^k (k <= 59) above it. Keeps curvature scaling in
+    the concave directions instead of collapsing to a raw gradient step, which
+    crawls on ridge-shaped likelihoods; that step is left for a non-finite H, a
+    decomposition or solve that fails, or a top eigenvalue beyond the last shift.
     """
     if np.all(np.isfinite(hess)):
-        eye = np.eye(g.size)
         ridge = 1e-3 * max(1.0, float(np.max(np.abs(np.diag(hess)))))
-        for lam in [0.0] + [ridge * 4.0**k for k in range(60)]:
-            shifted = hess - lam * eye
-            try:
-                np.linalg.cholesky(-shifted)
-                return np.linalg.solve(shifted, -g)
-            except np.linalg.LinAlgError:
-                pass
+        shifts = np.append(0.0, ridge * 4.0 ** np.arange(60))
+        try:
+            k = np.searchsorted(shifts, np.linalg.eigvalsh(hess)[-1], side="right")
+            if k < shifts.size:
+                return np.linalg.solve(hess - shifts[k] * np.eye(g.size), -g)
+        except np.linalg.LinAlgError:
+            pass
     return g / float(np.max(np.abs(g)))
 
 
@@ -398,6 +386,10 @@ def fit_mle(
         raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
+    if initial is not None:
+        initial = np.array(initial, dtype=float)
+        if initial.shape != (3,) or np.any(initial <= 0.0) or not np.all(np.isfinite(initial)):
+            raise ValueError(f"initial must be three positive finite numbers (theta, shape, scale), got {initial}")
     times, flags = to_arrays(data)
     _validate(kind, flags)
     pairs, curve = _collapse(times, flags)  # an empty cohort fails here
@@ -408,9 +400,7 @@ def fit_mle(
             "needs at least two distinct event times; the Weibull shape has no finite estimate"
         )
 
-    start = _initial_params(kind, curve, times, flags) if initial is None else np.array(initial, dtype=float)
-    if start.shape != (3,) or np.any(start <= 0.0) or not np.all(np.isfinite(start)):
-        raise ValueError(f"initial must be three positive finite numbers (theta, shape, scale), got {start}")
+    start = _initial_params(kind, curve, times, flags) if initial is None else initial
 
     with np.errstate(all="ignore"):
         estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(

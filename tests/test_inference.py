@@ -33,7 +33,9 @@ from pwsurv.inference import (
     _SERIES_CUTOFF,
     PARAM_NAMES,
     Z_95,
+    _ascent_direction,
     _collapse,
+    _initial_params,
     _loglik_derivatives,
     _ptm_loglik,
     _ptm_score,
@@ -401,6 +403,166 @@ class TestFitMle:
     def test_wrong_length_initial_names_the_parameters(self, initial):
         with pytest.raises(ValueError, match=r"three positive finite numbers \(theta, shape, scale\)"):
             fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, initial=initial)
+
+    @pytest.mark.parametrize("initial", [(-1.0, 1.0, 1.0), (1.0, 2.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf)])
+    def test_initial_is_checked_before_the_records_are_grouped(self, initial):
+        with patch("pwsurv.inference._collapse", side_effect=AssertionError("_collapse reached")):
+            with pytest.raises(ValueError, match=r"^initial must be three positive finite numbers"):
+                fit_mle(PTM_TOY_10, ModelKind.PROMOTION_TIME, initial=initial)
+
+
+# The start rule as three functions, kept as the reference the one rule in
+# _initial_params must reproduce bit for bit.
+
+def _reference_plot_fit(t, y):
+    slope, intercept = np.polyfit(np.log(t), y, 1)
+    if np.isfinite(slope) and slope > 0.0:
+        scale = float(np.exp(-intercept / slope))
+        if np.isfinite(scale) and scale > 0.0:
+            return float(slope), scale
+    return None
+
+
+def _reference_km_start(curve, times):
+    keep = (curve.survival > 0.0) & (curve.survival < 1.0)
+    if np.count_nonzero(keep) >= 2:
+        fit = _reference_plot_fit(curve.times[keep], np.log(-np.log(curve.survival[keep])))
+        if fit is not None:
+            return fit
+    return 1.0, float(np.mean(times))
+
+
+def _reference_ptm_start(curve, times):
+    keep = curve.survival > 0.0
+    cum = -np.log(curve.survival[keep])
+    t = curve.times[keep]
+    if t.size >= 2 and cum[-1] > 0.0:
+        frac = cum / cum[-1]
+        mid = (frac > 0.01) & (frac < 0.99)
+        if np.count_nonzero(mid) >= 2:
+            fit = _reference_plot_fit(t[mid], np.log(-np.log1p(-frac[mid])))
+            if fit is not None:
+                return fit
+    return _reference_km_start(curve, times)
+
+
+def _reference_start(kind, curve, times, flags):
+    if kind is ModelKind.ZERO_TRUNCATED:
+        return np.array([1.0, *_reference_km_start(curve, times)])
+    shape0, scale0 = _reference_ptm_start(curve, times)
+    cdf_sum = float(np.sum(-np.expm1(-((times / scale0) ** shape0))))
+    if cdf_sum > 0.0:
+        theta0 = float(np.sum(flags)) / cdf_sum
+    else:
+        theta0 = -math.log(max(0.01, 1.0 - float(np.mean(flags))))
+    return np.array([min(max(theta0, 1e-3), 1e3), shape0, scale0])
+
+
+class TestStartRule:
+    @staticmethod
+    def start(recs, kind):
+        """The rule's start and the reference's, on the curve fit_mle builds."""
+        times, flags = recs.times, recs.flags
+        _, curve = _collapse(times, flags)
+        return _initial_params(kind, curve, times, flags), _reference_start(kind, curve, times, flags), curve
+
+    def test_zt_km_plot(self):
+        m = ModelSpec.zero_truncated(1.5, 2.0, 0.5)
+        recs = simulate_cohort(SimConfig(model=m, n=1000, horizon=math.inf, seed=3))
+        start, reference, _ = self.start(recs, ModelKind.ZERO_TRUNCATED)
+        np.testing.assert_array_equal(start, reference)
+        assert start[0] == 1.0 and tuple(start[1:]) != (1.0, float(np.mean(recs.times)))
+
+    def test_ptm_plateau_plot(self):
+        recs = simulate_cohort(SimConfig(model=ModelSpec.promotion_time(0.8, 1.2, 10.0), n=1000, horizon=24.0, seed=2))
+        start, reference, curve = self.start(recs, ModelKind.PROMOTION_TIME)
+        np.testing.assert_array_equal(start, reference)
+        # the plateau plot qualified: its start differs from the plain KM plot's
+        assert tuple(start[1:]) != _reference_km_start(curve, recs.times)
+
+    def test_ptm_with_events_in_two_months_falls_back_to_the_km_plot(self):
+        # the rescaled curve is 1 at the last month, so only one point lies inside (0.01, 0.99)
+        recs = mixed([(1.0, 1)] * 3 + [(2.0, 1)] * 5 + [(24.0, 0)] * 12)
+        start, reference, curve = self.start(recs, ModelKind.PROMOTION_TIME)
+        np.testing.assert_array_equal(start, reference)
+        assert tuple(start[1:]) == _reference_km_start(curve, recs.times) != (1.0, float(np.mean(recs.times)))
+
+    def test_zt_with_two_event_times_falls_back_to_shape_one_and_the_mean_time(self):
+        # S is 1/3 then 0, so the KM plot keeps one point
+        recs = events([1.0, 1.0, 2.0])
+        start, reference, _ = self.start(recs, ModelKind.ZERO_TRUNCATED)
+        np.testing.assert_array_equal(start, reference)
+        np.testing.assert_array_equal(start, [1.0, 1.0, 4.0 / 3.0])
+
+
+def _reference_direction(hess, g):
+    """The ridge rule as a Cholesky attempt per shift, kept as the reference for the eigenvalue rule."""
+    if np.all(np.isfinite(hess)):
+        eye = np.eye(g.size)
+        ridge = 1e-3 * max(1.0, float(np.max(np.abs(np.diag(hess)))))
+        for lam in [0.0] + [ridge * 4.0**k for k in range(60)]:
+            shifted = hess - lam * eye
+            try:
+                np.linalg.cholesky(-shifted)
+                return np.linalg.solve(shifted, -g)
+            except np.linalg.LinAlgError:
+                pass
+    return g / float(np.max(np.abs(g)))
+
+
+class TestRidgeRule:
+    G = np.array([0.3, -1.2, 0.7])
+
+    def test_negative_definite_hessian_takes_the_newton_step(self):
+        hess = np.array([[-4.0, 1.0, 0.5], [1.0, -3.0, 0.2], [0.5, 0.2, -2.0]])
+        assert np.linalg.eigvalsh(hess)[-1] < 0.0
+        np.testing.assert_array_equal(_ascent_direction(hess, self.G), np.linalg.solve(hess, -self.G))
+
+    @pytest.mark.parametrize(
+        "hess, ridge, k",
+        [
+            # ridge = 1e-3 * max |diag| = 2e-3; 2e-3 * 4^3 = 0.128 <= 0.5 < 2e-3 * 4^4
+            (np.diag([-1.0, -2.0, 0.5]), 2e-3, 4),
+            # a top eigenvalue of exactly 0 is not negative: the first shift, with ridge floored at 1e-3
+            (np.diag([-1.0, -0.5, 0.0]), 1e-3, 0),
+            # ridge = 30; 30 * 4^4 = 7680 <= 3e4 < 30 * 4^5
+            (np.diag([-1.0, -0.5, 3e4]), 30.0, 5),
+            # the last shift: ridge floored at 1e-3; 1e-3 * 4^58 <= 1e32 < 1e-3 * 4^59
+            (np.array([[-0.01, 0.0, 0.0], [0.0, -0.01, 1e32], [0.0, 1e32, -0.01]]), 1e-3, 59),
+        ],
+    )
+    def test_shift_is_the_least_ridge_power_above_the_top_eigenvalue(self, hess, ridge, k):
+        lam = ridge * 4.0**k
+        top = np.linalg.eigvalsh(hess)[-1]
+        assert top < lam and (k == 0 or lam / 4.0 <= top)
+        expected = np.linalg.solve(hess - lam * np.eye(3), -self.G)
+        np.testing.assert_array_equal(_ascent_direction(hess, self.G), expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_hessian_takes_the_normalized_gradient_step(self, bad):
+        hess = np.diag([-1.0, -1.0, -1.0])
+        hess[0, 2] = hess[2, 0] = bad
+        np.testing.assert_array_equal(_ascent_direction(hess, self.G), self.G / 1.2)
+
+    def test_top_eigenvalue_beyond_the_last_shift_takes_the_normalized_gradient_step(self):
+        # ridge = 1e-3 * 1e-2 floored at 1e-3; the last shift is 1e-3 * 4^59, about 3.3e32
+        hess = np.array([[-0.01, 0.0, 0.0], [0.0, -0.01, 1e33], [0.0, 1e33, -0.01]])
+        np.testing.assert_array_equal(_ascent_direction(hess, self.G), self.G / 1.2)
+
+    def test_matches_the_cholesky_rule_on_random_matrices(self):
+        rng = np.random.default_rng(19)
+        checked = 0
+        while checked < 2000:
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            magnitudes = 10.0 ** rng.uniform(-4.0, 4.0, 3)
+            signs = rng.choice([-1.0, 1.0], 3, p=[0.7, 0.3])
+            hess = (q * (signs * magnitudes)) @ q.T
+            hess = (hess + hess.T) / 2.0
+            if np.linalg.cond(hess) > 1e8:
+                continue
+            g = rng.standard_normal(3)
+            np.testing.assert_array_equal(_ascent_direction(hess, g), _reference_direction(hess, g))
+            checked += 1
 
 
 @pytest.fixture(scope="module")
