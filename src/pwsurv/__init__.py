@@ -26,7 +26,7 @@ _HOMES = {
     "nonparametric": ("KmCurve", "kaplan_meier"),
     "inference": (
         "FitResult", "NoEventsError", "SingularInformationError",
-        "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary", "format_p_value",
+        "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary",
     ),
     "report": (
         "CohortDataset", "CsvFormatError", "SummaryRow", "read_events_csv", "write_events_csv",

@@ -45,8 +45,6 @@ read_events_csv = _deferred("report", "read_events_csv")
 write_events_csv = _deferred("report", "write_events_csv")
 write_overlay_csv = _deferred("report", "write_overlay_csv")
 
-_KINDS = {"zt": ModelKind.ZERO_TRUNCATED, "ptm": ModelKind.PROMOTION_TIME}
-
 
 class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for non-convergence; route usage errors to 1
@@ -118,7 +116,7 @@ def _fit_cohorts(args) -> list:
         raise ValueError("--max-iter must be nonnegative")
     if not args.horizon > 0.0:  # also NaN; inf is allowed
         raise ValueError("--horizon must be positive")
-    kind = None if args.model == "auto" else _KINDS[args.model]
+    kind = None if args.model == "auto" else ModelKind(args.model)
     datasets = read_events_csv(args.input, kind=kind)
     if not datasets:
         raise ValueError(f"{args.input}: no records to fit")
@@ -160,7 +158,7 @@ def _cmd_fit(args) -> int:
 
 
 def _model_spec(kind: str, theta: float, shape: float, scale: float) -> ModelSpec:
-    return ModelSpec(_KINDS[kind], LatentCountParams(theta), WeibullParams(shape, scale))
+    return ModelSpec(ModelKind(kind), LatentCountParams(theta), WeibullParams(shape, scale))
 
 
 def _cmd_simulate(args) -> int:

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .events import EventTable, to_arrays
-from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams, _log_lead, _require_kind
+from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams
+from .models import _log_lead, _require_int, _require_kind
 from .nonparametric import KmCurve, _collapse
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "loglik_ptm",
     "fit_mle",
     "wald_summary",
-    "format_p_value",
 ]
 
 PARAM_NAMES = ("theta", "shape", "scale")
@@ -357,7 +357,6 @@ def fit_mle(
     kind: ModelKind,
     *,
     max_iterations: int = 200,
-    initial: Sequence[float] | None = None,
 ) -> FitResult:
     """Maximum-likelihood fit of either model on loan event records.
 
@@ -365,8 +364,7 @@ def fit_mle(
     standard errors use the exact observed information in the original
     parameterization at the optimum. Non-convergence is reported through
     converged=False with NaN Wald statistics, never silently.
-    ``max_iterations`` caps the Newton steps; ``initial`` (theta, shape,
-    scale) replaces the start values taken from the Kaplan-Meier curve.
+    ``max_iterations`` caps the Newton steps from the Kaplan-Meier start values.
 
     Raises
     ------
@@ -374,22 +372,17 @@ def fit_mle(
         When ``data`` is not an EventTable.
     ValueError
         On a ``kind`` that is not a ModelKind, empty data, censored records
-        under the zero-truncated kind, fewer than two distinct event times, a
-        ``max_iterations`` that is not a nonnegative integer or a bad ``initial``.
+        under the zero-truncated kind, fewer than two distinct event times or
+        a ``max_iterations`` that is not a nonnegative integer.
     NoEventsError
         A ValueError: on promotion-time data with no observed events.
     SingularInformationError
         A ValueError: when the observed information at a converged optimum
         is not finite or not positive definite.
     """
-    if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
-        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
+    _require_int("max_iterations", max_iterations)
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
-    if initial is not None:
-        initial = np.array(initial, dtype=float)
-        if initial.shape != (3,) or np.any(initial <= 0.0) or not np.all(np.isfinite(initial)):
-            raise ValueError(f"initial must be three positive finite numbers (theta, shape, scale), got {initial}")
     times, flags = to_arrays(data)
     _validate(kind, flags)
     pairs, curve = _collapse(times, flags)  # an empty cohort fails here
@@ -400,8 +393,7 @@ def fit_mle(
             "needs at least two distinct event times; the Weibull shape has no finite estimate"
         )
 
-    start = _initial_params(kind, curve, times, flags) if initial is None else initial
-
+    start = _initial_params(kind, curve, times, flags)
     with np.errstate(all="ignore"):
         estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(
             kind, pairs, start, max_iterations
@@ -434,7 +426,7 @@ def fit_mle(
 
 # --- Wald summaries --------------------------------------------------------
 
-def format_p_value(p: float) -> str:
+def _format_p_value(p: float) -> str:
     """Render a p-value, collapsing the far tail to '< 0.0001'."""
     return "< 0.0001" if p < 1e-4 else f"{p:.4f}"
 
@@ -453,6 +445,6 @@ def wald_summary(f: FitResult) -> list[dict]:
         estimate, se, ci_low, ci_high, p_value = map(float, values)
         rows.append({
             "parameter": name, "estimate": estimate, "se": se, "ci_low": ci_low,
-            "ci_high": ci_high, "p_value": p_value, "p_text": format_p_value(p_value),
+            "ci_high": ci_high, "p_value": p_value, "p_text": _format_p_value(p_value),
         })
     return rows

@@ -173,6 +173,11 @@ def _require_kind(m: ModelSpec, kind: ModelKind) -> None:
         raise ValueError(f"operation requires a {kind.value} model, got {m.kind.value}")
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _log_lead(kind: ModelKind, theta):
     """log a(theta): log theta (ptm) or log theta / (1 - exp(-theta)) (zt)."""
     return np.log(theta if kind is ModelKind.PROMOTION_TIME else _zt_mean(theta))
@@ -269,9 +274,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_int("n", self.n)
+        _require_int("seed", self.seed)
         if self.n < 1:
             raise ValueError(f"cohort size must be at least 1, got {self.n}")
         if self.seed < 0:
@@ -312,10 +316,11 @@ def simulate_cohort(cfg: SimConfig, cohort: str = "sim") -> EventTable:
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
     m = _latent_count(cfg.model.kind, theta, uniforms.random(cfg.n), counts)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         times = scale * (exponentials.standard_exponential(cfg.n) / m) ** (1.0 / shape)
-    # A small shape can take a time below the least positive double, where it
-    # underflows to 0.0; such a time becomes that double, the nearest valid one.
+    # A small shape can take a time below the least positive double or above the
+    # largest, where it under- or overflows to 0.0 or inf; it becomes the nearest
+    # valid double. A cured subject's inf is censored before the upper clamp.
     times = np.maximum(times, np.nextafter(0.0, 1.0))
     observed = times <= cfg.horizon
-    return EventTable(np.where(observed, times, cfg.horizon), observed, cohort)
+    return EventTable(np.where(observed, np.minimum(times, np.finfo(float).max), cfg.horizon), observed, cohort)

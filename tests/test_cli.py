@@ -82,16 +82,20 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
 
-    def test_small_shape_times_stay_positive(self, tmp_path):
-        # scale * (E/M)^(1/shape) underflows to 0.0 for some subjects at shape 0.01
+    @pytest.mark.parametrize("model, shape, horizon", [("zt", "0.01", "inf"), ("zt", "0.001", "inf"), ("ptm", "0.001", "24")])
+    def test_small_shape_times_stay_positive(self, tmp_path, model, shape, horizon):
+        # scale * (E/M)^(1/shape) underflows to 0.0 for some subjects at shape 0.01,
+        # and at shape 0.001 also overflows to inf for others
         out = tmp_path / "x.csv"
-        code = main(["simulate", "--model", "zt", "--theta", "1", "--shape", "0.01",
-                     "--scale", "1", "--n", "10000", "--horizon", "inf", "--out", str(out)])
+        code = main(["simulate", "--model", model, "--theta", "1", "--shape", shape,
+                     "--scale", "1", "--n", "10000", "--horizon", horizon, "--out", str(out)])
         assert code == 0
         with open(out, newline="") as handle:
-            times = [float(row[0]) for row in list(csv.reader(handle))[1:]]
+            times = np.array([float(row[0]) for row in list(csv.reader(handle))[1:]])
         assert len(times) == 10000
-        assert min(times) > 0.0
+        assert times.min() > 0.0 and np.all(np.isfinite(times))
+        if (model, shape) == ("zt", "0.001"):
+            assert times.max() == np.finfo(float).max
 
     def test_ptm_infinite_horizon_exit_1(self, tmp_path, capsys):
         code = main(["simulate", "--model", "ptm", "--theta", "1", "--shape", "1",

@@ -157,6 +157,15 @@ class TestSimulateCohort:
         event_times = recs.times[~censored]
         assert np.all((0.0 < event_times) & (event_times <= 5.0))
 
+    def test_cured_subjects_stay_censored_at_the_largest_horizon(self):
+        # a cured subject's time is inf, beyond even the largest double
+        m = ModelSpec.promotion_time(2.0, 1.0, 1e308)
+        horizon = float(np.finfo(float).max)
+        recs = simulate_cohort(SimConfig(model=m, n=1000, horizon=horizon, seed=0))
+        censored = recs.flags == 0
+        assert np.any(censored)
+        assert np.all(recs.times[censored] == horizon)
+
     def test_tiny_theta_ptm_is_mostly_cured(self):
         m = ModelSpec.promotion_time(0.01, 1.2, 10.0)
         recs = simulate_cohort(SimConfig(model=m, n=300, horizon=24.0, seed=5))
