@@ -1,5 +1,6 @@
 """End-to-end command-line flows through main(argv) and through fresh processes."""
 
+import argparse
 import csv
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import pwsurv
 import pwsurv.cli as cli
-from pwsurv import EventTable, ModelSpec, SingularInformationError, kaplan_meier, model_survival
+from pwsurv import EventTable, ModelKind, ModelSpec, SingularInformationError, kaplan_meier, model_survival
 from pwsurv.cli import main
 
 from test_report import LABELS, csv_text
@@ -407,6 +408,19 @@ class TestUsageErrors:
         with pytest.raises(RuntimeError, match="broken simulator"):
             main(["simulate", "--model", "zt", "--theta", "1", "--shape", "1", "--scale", "1",
                   "--n", "10", "--horizon", "inf", "--out", str(tmp_path / "x.csv")])
+
+
+class TestKindChoices:
+    # the CLI builds a kind as ModelKind(value), so every choice but auto must be a value
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--model"), ("km", "--overlay-model"), ("fit", "--model"), ("report", "--model")],
+    )
+    def test_choices_are_the_kind_values(self, command, flag):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+        assert sorted(set(action.choices) - {"auto"}) == sorted(kind.value for kind in ModelKind)
 
 
 class TestChildProcess:

@@ -1,5 +1,6 @@
 """Likelihoods, the Newton fit, and Wald inference."""
 
+import inspect
 import itertools
 import math
 from unittest.mock import patch
@@ -335,6 +336,37 @@ class TestFitMle:
         assert converged
         assert loglik == pytest.approx(default_fit.loglik, abs=1e-7)
         np.testing.assert_allclose(estimates, default_fit.estimates, rtol=1e-4)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "kind, model, horizon, seed",
+        [
+            (ModelKind.ZERO_TRUNCATED, ModelSpec.zero_truncated(1.5, 2.0, 0.5), math.inf, 17),
+            (ModelKind.PROMOTION_TIME, ModelSpec.promotion_time(0.8, 1.2, 10.0), 24.0, 5),
+        ],
+        ids=["zt", "ptm"],
+    )
+    def test_scaled_truth_start_reaches_the_default_optimum(self, kind, model, horizon, seed, factor):
+        # every parameter halved or doubled from the truth: the optimum is the default fit's
+        recs = simulate_cohort(SimConfig(model=model, n=1500, horizon=horizon, seed=seed))
+        default_fit = fit_mle(recs, kind)
+        pairs = _collapse(recs.times, recs.flags)[0]
+        with np.errstate(all="ignore"):
+            estimates, loglik, _, _, converged, _, _ = _newton_maximize(
+                kind, pairs, factor * np.array(model.params()), 200
+            )
+        assert converged
+        assert loglik == pytest.approx(default_fit.loglik, abs=1e-7)
+        np.testing.assert_allclose(estimates, default_fit.estimates, rtol=1e-4)
+
+    def test_the_start_is_not_a_keyword(self):
+        # the start always comes from the data; max_iterations is the one keyword
+        params = inspect.signature(fit_mle).parameters
+        assert list(params) == ["data", "kind", "max_iterations"]
+        assert params["max_iterations"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["max_iterations"].default == 200
+        with pytest.raises(TypeError):
+            fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED, initial=(1.0, 1.0, 1.0))
 
     def test_fitted_loglik_not_below_truth(self):
         truth = (1.2, 1.6, 3.0)

@@ -36,3 +36,10 @@ def test_star_import_binds_all():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'pwsurv' has no attribute 'no_such_name'"):
         pwsurv.no_such_name
+
+
+def test_p_value_formatter_is_not_public():
+    # wald_summary is its one caller
+    assert "format_p_value" not in pwsurv.__all__
+    with pytest.raises(AttributeError):
+        pwsurv.format_p_value

@@ -1,6 +1,7 @@
 """Generative sampler: determinism, stream isolation, distributional checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ class TestSimulateCohort:
         assert np.all(recs.times[censored] == 5.0)
         event_times = recs.times[~censored]
         assert np.all((0.0 < event_times) & (event_times <= 5.0))
+
+    def test_overflowing_event_times_become_the_largest_double(self):
+        # at shape 0.001 scale * (E/M)^(1/shape) overflows to inf for some subjects
+        m = ModelSpec.zero_truncated(1.0, 0.001, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = simulate_cohort(SimConfig(model=m, n=1000, horizon=math.inf, seed=0))
+        assert np.all(recs.flags == 1)
+        assert np.all(np.isfinite(recs.times))
+        assert recs.times.max() == np.finfo(float).max
 
     def test_cured_subjects_stay_censored_at_the_largest_horizon(self):
         # a cured subject's time is inf, beyond even the largest double
