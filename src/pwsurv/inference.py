@@ -17,7 +17,7 @@ import numpy as np
 
 from .events import EventTable, to_arrays
 from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams
-from .models import _log_lead, _require_int, _require_kind
+from .models import _log_terms, _require_int, _require_kind
 from .nonparametric import KmCurve, _collapse
 
 __all__ = [
@@ -71,16 +71,11 @@ class FitResult:
 
 # --- the likelihood kernel -------------------------------------------------
 #
-# Both kinds share one log-likelihood, the sum of the log-space formulas in
-# models.py; the kind enters only through their lead term log a(theta). With
-# d the event flag, D = sum d over n records, z = t/scale, L = log z,
-# w = z^shape and S = exp(-w):
-#
-#   l = sum d log f + theta sum S + D log a(theta) - n theta
-#   log f = log(shape) - log(scale) + (shape - 1) L - w
-#
-# Each sum runs over the distinct (time, flag) pairs, weighted by the number
-# of records holding the pair, so tied records cost one term.
+# The log-likelihood is the sum of the per-record log terms of models.py (log f_Y
+# for an event, log S_Y for a censored record); the score and Hessian are its
+# exact derivatives, in S = exp(-w) with w = (t/scale)^shape. Each sum runs over
+# the distinct (time, flag) pairs, weighted by the number of records holding the
+# pair (its count), so tied records cost one term; counts None weighs each pair 1.
 
 # Below this theta the zero-truncated theta derivatives use their Taylor
 # series; the closed forms lose every digit as theta goes to 0.
@@ -91,20 +86,20 @@ def _loglik_derivatives(
     kind: ModelKind,
     times: np.ndarray,
     flags: np.ndarray,
-    counts: np.ndarray,
+    counts: np.ndarray | None,
     params: Sequence[float],
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, score and Hessian in params = (theta, shape, scale), in one pass.
-
-    Record i stands for counts[i] records with the same time and flag.
-    """
+    """Log-likelihood, score and Hessian in params = (theta, shape, scale), in one pass."""
     theta, shape, scale = params
-    events = counts * flags  # the event-weighted counts
-    n = float(np.sum(counts))
-    n_events = float(np.sum(events))
-    # c0, c1, c2: the theta-only terms D log a(theta) - n theta and their
-    # first two theta derivatives
-    c0 = n_events * _log_lead(kind, theta) - n * theta
+
+    def wsum(x):  # the counts-weighted sum
+        return x.sum() if counts is None else (counts * x).sum()
+
+    events = flags if counts is None else counts * flags  # the event-weighted counts
+    n = float(times.size if counts is None else counts.sum())
+    n_events = float(events.sum())
+    # c1, c2: the first two theta derivatives of the theta-only terms D log a(theta) - n theta,
+    # with D events among n records
     if kind is ModelKind.PROMOTION_TIME:
         c1 = n_events / theta - n
         c2 = -n_events / theta**2
@@ -119,20 +114,23 @@ def _loglik_derivatives(
 
     logz = np.log(times / scale)
     w = np.exp(shape * logz)
+    ratio = shape / scale
+    log_f = (shape - 1.0) * logz
+    log_f += np.log(ratio) - w  # in place, saving a full-length temporary
+    terms = _log_terms(kind, theta, log_f, w, flags == 1)
+    loglik = terms.sum() if counts is None else counts @ terms  # no temporary, unlike wsum
     surv = np.exp(-w)
     q = surv * w  # -dS/dw
     r = q * (1.0 - w)  # d(S w)/dw
     rl = r * logz
     dw = events * w
     dwl = dw * logz
-    s0 = np.sum(counts * surv)
-    q0, q1 = np.sum(counts * q), np.sum(counts * (q * logz))
-    r0, r1, r2 = np.sum(counts * r), np.sum(counts * rl), np.sum(counts * (rl * logz))
-    dl = np.sum(events * logz)
-    e0, e1, e2 = np.sum(dw), np.sum(dwl), np.sum(dwl * logz)
-    ratio = shape / scale
+    s0 = wsum(surv)
+    q0, q1 = wsum(q), wsum(q * logz)
+    r0, r1, r2 = wsum(r), wsum(rl), wsum(rl * logz)
+    dl = (events * logz).sum()
+    e0, e1, e2 = dw.sum(), dwl.sum(), (dwl * logz).sum()
 
-    loglik = c0 + n_events * np.log(ratio) + (shape - 1.0) * dl - e0 + theta * s0
     score = np.array([
         c1 + s0,
         n_events / shape + dl - e1 - theta * q1,
@@ -309,16 +307,17 @@ def _newton_maximize(kind: ModelKind, pairs: tuple, p: np.ndarray, max_iteration
 
         direction = _ascent_direction(np.outer(p, p) * hess + np.diag(g_u), g_u)
         slope = float(g_u @ direction)
-        # Objective changes this small are below float summation noise; accept
-        # the step on the gradient criterion alone.
-        noise = 1e-9 * (1.0 + abs(ll))
+        # Objective changes this small are below float summation noise: accept the step on
+        # the gradient criterion alone if it stays within that noise of the best loglik seen.
+        best = max(trace)
+        noise = 1e-9 * (1.0 + abs(best))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             u_try = u + alpha * direction
             p_try = np.exp(u_try)
             ll_try, g_try, hess_try = _loglik_derivatives(kind, *pairs, p_try)
             if np.isfinite(ll_try) and (
-                ll_try >= ll or (alpha * slope <= noise and ll_try >= ll - noise)
+                ll_try >= ll or (alpha * slope <= noise and ll_try >= best - noise)
             ):
                 u, p, ll, g, hess = u_try, p_try, ll_try, g_try, hess_try
                 trace.append(ll)

@@ -178,11 +178,6 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _log_lead(kind: ModelKind, theta):
-    """log a(theta): log theta (ptm) or log theta / (1 - exp(-theta)) (zt)."""
-    return np.log(theta if kind is ModelKind.PROMOTION_TIME else _zt_mean(theta))
-
-
 def ztpw_density(t, m: ModelSpec):
     """Event-time density of the zero-truncated model.
 
@@ -234,29 +229,33 @@ def elgd_at_horizon(m: ModelSpec, horizon: float) -> float:
     return float(ptm_survival(horizon, m))
 
 
+def _log_terms(kind: ModelKind, theta: float, log_f, w, event):
+    """log f_Y where event (a bool or bool array) is true, else log S_Y, from the Weibull log f and w."""
+    minus_theta_f = theta * np.expm1(-w)
+    with np.errstate(divide="ignore"):  # the lead term log a(theta), -inf at theta 0 (ptm)
+        lead = np.log(theta if kind is ModelKind.PROMOTION_TIME else _zt_mean(theta))
+    # theta = 0 (ptm) has no causes: the density is 0 even where f is inf
+    log_density = lead + minus_theta_f + (log_f if theta > 0.0 else 0.0)
+    if np.all(event):  # so the zt survival is never evaluated for a zt fit
+        return log_density
+    if kind is ModelKind.PROMOTION_TIME:
+        return np.where(event, log_density, minus_theta_f)
+    x = theta * np.exp(-w)
+    g = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)  # g(0) = 1
+    # log a and log g(theta S) cancel near t = 0 only up to rounding
+    return np.where(event, log_density, np.minimum(minus_theta_f + lead - w + np.log(g), 0.0))
+
+
 def model_density(t, m: ModelSpec):
     """Density of either model kind: a(theta) exp(-theta F(t)) f(t)."""
     arr = _as_time(t)
-    theta = m.theta.theta
-    log_f, w = _weibull_log_terms(arr, m.weibull)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # theta = 0 (ptm) has no causes: the density is 0 even where f is inf
-        log_density = _log_lead(m.kind, theta) - theta * -np.expm1(-w) + (log_f if theta > 0.0 else 0.0)
-    return _ret(np.exp(log_density), arr)
+    return _ret(np.exp(_log_terms(m.kind, m.theta.theta, *_weibull_log_terms(arr, m.weibull), True)), arr)
 
 
 def model_survival(t, m: ModelSpec):
     """Survival of either model kind: exp(-theta F(t)) (ptm), or the zt form of the module docstring."""
     arr = _as_time(t)
-    theta = m.theta.theta
-    w = _weibull_log_terms(arr, m.weibull)[1]
-    log_survival = -theta * -np.expm1(-w)
-    if m.kind is ModelKind.ZERO_TRUNCATED:
-        x = theta * np.exp(-w)
-        g = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)  # g(0) = 1
-        # log a and log g(theta S) cancel near t = 0 only up to rounding
-        log_survival = np.minimum(log_survival + _log_lead(m.kind, theta) - w + np.log(g), 0.0)
-    return _ret(np.exp(log_survival), arr)
+    return _ret(np.exp(_log_terms(m.kind, m.theta.theta, *_weibull_log_terms(arr, m.weibull), False)), arr)
 
 
 @dataclass(frozen=True)

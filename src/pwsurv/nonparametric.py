@@ -63,8 +63,8 @@ def _product_limit(keys: np.ndarray, counts: np.ndarray) -> KmCurve:
 def _collapse(times: np.ndarray, flags: np.ndarray) -> tuple[tuple, KmCurve]:
     """The distinct (time, flag) pairs with the number of records holding each, and their curve.
 
-    The pairs keep the order of their first record, so on data without ties the
-    kernel's sums add the same terms in the same order as over the records.
+    The pairs keep the order of their first record. Without ties they are the
+    records, with counts None, so the kernel's sums are the records' own sums.
     """
     key = np.where(flags == 1, times, -times)
     order = np.argsort(key)
@@ -74,6 +74,8 @@ def _collapse(times: np.ndarray, flags: np.ndarray) -> tuple[tuple, KmCurve]:
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, key.size))
     curve = _product_limit(sorted_key[starts], counts)
+    if starts.size == key.size:
+        return (times, flags, None), curve
     first = np.minimum.reduceat(order, starts)
     by_first = np.argsort(first)
     first = first[by_first]

@@ -359,6 +359,43 @@ class TestCohortFailure:
         assert entry["error"].startswith("needs at least two distinct event times")
 
 
+class TestRunawayCohorts:
+    # recovery-2010 cohorts, n = 2000, whose likelihood rises toward the no-cure limit
+
+    @staticmethod
+    def simulate(path, seed):
+        code = main([
+            "simulate", "--model", "ptm", "--theta", "3.0614", "--shape", "1.0647",
+            "--scale", "81.3458", "--n", "2000", "--horizon", "24", "--seed", str(seed),
+            "--cohort", f"r{seed}", "--out", str(path),
+        ])
+        assert code == 0
+
+    def test_seed_1077_prints_the_no_cure_loglik(self, tmp_path, capsys):
+        # theta-hat grows without bound toward the no-cure limit; a value that cancels there prints 0.0000
+        self.simulate(tmp_path / "r.csv", 1077)
+        assert main(["fit", "--input", str(tmp_path / "r.csv")]) == 2
+        out = capsys.readouterr().out
+        assert "NOT CONVERGED" in out
+        (line,) = [line for line in out.splitlines() if "log-likelihood" in line]
+        assert -4646.31 < float(line.split()[-1]) <= -4646.30
+
+    def test_seed_1039_fails_alone_naming_theta(self, tmp_path, capsys):
+        self.simulate(tmp_path / "a.csv", 1039)
+        self.simulate(tmp_path / "b.csv", 1000)
+        both = tmp_path / "both.csv"
+        both.write_text((tmp_path / "a.csv").read_text() + (tmp_path / "b.csv").read_text().split("\n", 1)[1])
+        failed = "cohort r1039 [ptm]\n  FAILED: observed information is not positive definite; parameter 'theta' is not identified"
+        assert main(["fit", "--input", str(both)]) == 1
+        out = capsys.readouterr().out
+        assert failed in out
+        assert "cohort r1000 [ptm]" in out and "log-likelihood" in out and "NOT CONVERGED" not in out
+        assert main(["report", "--input", str(both)]) == 1
+        out = capsys.readouterr().out
+        assert failed in out
+        assert any(line.startswith("r1000 ") for line in out.splitlines())
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["fit", "report"])
     def test_negative_max_iter_is_rejected_before_the_input_is_read(self, command, tmp_path, capsys):

@@ -7,6 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from pwsurv import (
     EventTable,
@@ -22,6 +23,8 @@ from pwsurv import (
     fit_mle,
     loglik_ptm,
     loglik_zt,
+    model_density,
+    model_survival,
     ptm_density,
     ptm_survival,
     simulate_cohort,
@@ -47,7 +50,7 @@ from pwsurv.inference import (
 )
 from pwsurv.report import fit_report_dict
 
-from cohorts import DEFAULT_FITS, RECOVERY_FITS, estimates
+from cohorts import DEFAULT_FITS, HORIZON, RECOVERY_FITS, all_specs, estimates, recovery_spec
 
 
 def events(times):
@@ -262,6 +265,116 @@ class TestCollapsedPairs:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
+def model_terms_loglik(kind, pairs, params):
+    """Sum of counts * (log model_density at the events, log model_survival at the censorings)."""
+    times, flags, counts = pairs
+    spec = ModelSpec(kind, LatentCountParams(params[0]), WeibullParams(*params[1:]))
+    event = flags == 1
+    terms = np.empty(times.size)
+    terms[event] = np.log(model_density(times[event], spec))
+    terms[~event] = np.log(model_survival(times[~event], spec))
+    return float(np.sum(terms if counts is None else counts * terms))
+
+
+def no_cure_loglik(pairs, shape, rate):
+    """Log-likelihood of the Weibull with cumulative hazard rate * t^shape and no cured fraction."""
+    times, flags, counts = pairs
+    terms = flags * (math.log(shape * rate) + (shape - 1.0) * np.log(times)) - rate * times**shape
+    return float(np.sum(terms if counts is None else counts * terms))
+
+
+class TestKernelIsTheModelTerms:
+    # the kernel's value is the counts-weighted sum of the models' per-record log terms, from
+    # theta near 0, through the zt series cutoff, to the no-cure limit theta -> inf
+    THETAS = [1e-11, _SERIES_CUTOFF * (1.0 - 1e-9), _SERIES_CUTOFF * (1.0 + 1e-9), 1e13, 1e15, 1e17]
+
+    @pytest.fixture(scope="class", params=all_specs(), ids=[label for label, _ in all_specs()])
+    def cohort(self, request):
+        _, spec = request.param
+        horizon = math.inf if spec.kind is ModelKind.ZERO_TRUNCATED else HORIZON
+        recs = simulate_cohort(SimConfig(model=spec, n=2000, horizon=horizon, seed=1077))
+        return spec, _collapse(recs.times, recs.flags)[0]
+
+    def test_at_the_reference_fit(self, cohort):
+        spec, pairs = cohort
+        ll = _loglik_derivatives(spec.kind, *pairs, spec.params())[0]
+        assert ll == pytest.approx(model_terms_loglik(spec.kind, pairs, spec.params()), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", THETAS, ids=["1e-11", "below-cutoff", "above-cutoff", "1e13", "1e15", "1e17"])
+    def test_across_theta(self, cohort, theta):
+        spec, pairs = cohort
+        theta0, shape, scale0 = spec.params()
+        # past theta = 1e13 the scale grows with theta so that theta * scale^-shape stays fixed
+        scale = scale0 * (theta / theta0) ** (1.0 / shape) if theta >= 1e13 else scale0
+        params = (theta, shape, scale)
+        ll = _loglik_derivatives(spec.kind, *pairs, params)[0]
+        assert ll == pytest.approx(model_terms_loglik(spec.kind, pairs, params), rel=1e-12)
+        if theta >= 1e13:
+            assert ll == pytest.approx(no_cure_loglik(pairs, shape, theta0 * scale0**-shape), rel=1e-9)
+
+    def test_zt_survival_is_not_evaluated_on_all_event_records(self):
+        # a zt fit has no censored records; its survival, and the g(theta S) it divides for, is never needed
+        times, flags, p = random_problem(ModelKind.ZERO_TRUNCATED, 0)
+        pairs, _ = _collapse(times, flags)
+        with patch("numpy.divide", side_effect=AssertionError("survival branch reached")):
+            _loglik_derivatives(ModelKind.ZERO_TRUNCATED, *pairs, p)
+
+
+def no_cure_supremum(times, flags):
+    """Supremum of the promotion-time loglik as theta -> inf: the no-cure Weibull fit, by scipy.
+
+    Profiles out the rate, D / sum t^shape, and maximizes over log shape.
+    """
+    event = flags == 1
+    n_events = float(np.sum(event))
+    top = float(np.max(times))
+    logz = np.log(times / top)  # t^shape = top^shape z^shape, so sum z^shape cannot overflow
+
+    def negative(u):
+        shape = math.exp(u)
+        rate = n_events / float(np.sum(np.exp(shape * logz)))  # of z^shape
+        return -(n_events * math.log(shape * rate) + (shape - 1.0) * float(np.sum(logz[event])) - n_events)
+
+    best = minimize_scalar(negative, bracket=(-1.0, 1.0), tol=1e-12)
+    return -best.fun - n_events * math.log(top)  # back from z = t / top to t
+
+
+class TestRunawayFits:
+    # recovery-2010 cohorts whose likelihood rises toward the no-cure limit (theta and
+    # the scale growing together) instead of to an interior maximum
+    RUNAWAY = {1001, 1004, 1035, 1039, 1077, 1088, 1128, 1138, 1149, 1150, 1166, 1195, 1198}
+
+    def test_no_fit_passes_the_no_cure_supremum_or_converges_on_the_way(self):
+        spec = recovery_spec("2010")
+        outcomes = {}
+        for seed in range(1000, 1200):
+            recs = simulate_cohort(SimConfig(model=spec, n=2000, horizon=HORIZON, seed=seed))
+            try:
+                fit = fit_mle(recs, ModelKind.PROMOTION_TIME)
+            except SingularInformationError as err:
+                assert "parameter 'theta' is not identified" in str(err)
+                outcomes[seed] = "failed"
+                continue
+            supremum = no_cure_supremum(recs.times, recs.flags)
+            if fit.converged:
+                # Wald rows only at an interior maximum, which lies above the no-cure limit
+                assert fit.loglik > supremum, seed
+                continue
+            outcomes[seed] = "not converged"
+            assert np.all(np.isnan(fit.se))
+            assert fit.loglik <= supremum + 1e-6, seed
+        assert set(outcomes) == self.RUNAWAY
+        assert outcomes[1077] == "not converged" and outcomes[1039] == "failed"
+
+    def test_seed_1077_ends_at_the_no_cure_limit(self):
+        # theta-hat grows without bound toward the no-cure limit, so the value must not cancel at large theta
+        recs = simulate_cohort(SimConfig(model=recovery_spec("2010"), n=2000, horizon=HORIZON, seed=1077))
+        fit = fit_mle(recs, ModelKind.PROMOTION_TIME)
+        assert not fit.converged
+        assert fit.loglik == pytest.approx(no_cure_supremum(recs.times, recs.flags), abs=1e-6)
+        assert fit.loglik == pytest.approx(-4646.30358, abs=1e-5)
+
+
 class TestFitMle:
     def test_recovers_zt_parameters_within_three_se(self):
         truth = estimates(DEFAULT_FITS, "2006")
@@ -304,6 +417,15 @@ class TestFitMle:
         floor = -1e-8 * (1.0 + np.abs(trace[:-1]))
         assert np.all(np.diff(trace) >= floor)
         assert fit.loglik == trace[-1]
+
+    def test_final_loglik_is_the_best_seen_up_to_noise(self):
+        # every step on this cohort is inside the noise allowance; an allowance measured from
+        # the current loglik instead of the best one lets the fit drift 0.11 below its peak
+        m = ModelSpec.zero_truncated(1.0, 0.01, 1.0)
+        recs = simulate_cohort(SimConfig(model=m, n=10000, horizon=math.inf, seed=0))
+        fit = fit_mle(recs, ModelKind.ZERO_TRUNCATED)
+        best = max(fit.objective_trace)
+        assert fit.loglik >= best - 1e-9 * (1.0 + abs(best))
 
     def test_fit_is_deterministic(self):
         m = ModelSpec.promotion_time(0.6, 1.2, 7.0)
