@@ -17,7 +17,7 @@ import numpy as np
 
 from .events import EventTable, to_arrays
 from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams
-from .models import _log_terms, _require_int, _require_kind
+from .models import _log_terms, _require_int, _require_kind, _weibull_terms
 from .nonparametric import KmCurve, _collapse
 
 __all__ = [
@@ -71,11 +71,11 @@ class FitResult:
 
 # --- the likelihood kernel -------------------------------------------------
 #
-# The log-likelihood is the sum of the per-record log terms of models.py (log f_Y
-# for an event, log S_Y for a censored record); the score and Hessian are its
-# exact derivatives, in S = exp(-w) with w = (t/scale)^shape. Each sum runs over
-# the distinct (time, flag) pairs, weighted by the number of records holding the
-# pair (its count), so tied records cost one term; counts None weighs each pair 1.
+# The log-likelihood is the sum of the per-record log terms of models.py (log f_Y for an
+# event, log S_Y for a censored record) from the log z, w and log f of models._weibull_terms;
+# the score and Hessian are its exact derivatives, in S = exp(-w). Each sum runs over the
+# distinct (time, flag) pairs, weighted by the number of records holding the pair (its
+# count), so tied records cost one term; counts None weighs each pair 1.
 
 # Below this theta the zero-truncated theta derivatives use their Taylor
 # series; the closed forms lose every digit as theta goes to 0.
@@ -112,13 +112,11 @@ def _loglik_derivatives(
             c1 = -n * (1.0 / one_minus - 1.0 / theta)
             c2 = -n * (1.0 / theta**2 - np.exp(-theta) / one_minus**2)
 
-    logz = np.log(times / scale)
-    w = np.exp(shape * logz)
+    logz, w, log_f = _weibull_terms(times, shape, scale)
     ratio = shape / scale
-    log_f = (shape - 1.0) * logz
-    log_f += np.log(ratio) - w  # in place, saving a full-length temporary
     terms = _log_terms(kind, theta, log_f, w, flags == 1)
     loglik = terms.sum() if counts is None else counts @ terms  # no temporary, unlike wsum
+    np.minimum(w, np.finfo(float).max, out=w)  # past the value, w = inf would make 0 * inf NaN
     surv = np.exp(-w)
     q = surv * w  # -dS/dw
     r = q * (1.0 - w)  # d(S w)/dw

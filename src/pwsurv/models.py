@@ -99,8 +99,9 @@ def _as_time(t) -> np.ndarray:
     return arr
 
 
-def _ret(values: np.ndarray, arr: np.ndarray):
-    return float(values) if arr.ndim == 0 else values
+def _exp(log_values: np.ndarray, arr: np.ndarray):
+    with np.errstate(over="ignore"):  # a value past the doubles is inf
+        return float(np.exp(log_values)) if arr.ndim == 0 else np.exp(log_values)
 
 
 def _zt_mean(theta):
@@ -108,20 +109,24 @@ def _zt_mean(theta):
     return theta / -np.expm1(-theta)
 
 
-def _weibull_log_terms(arr: np.ndarray, p: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
-    """log f and w = (t/scale)^shape; log f's power term is 0 at shape 1, and log f is -inf at w = inf."""
-    z = arr / p.scale
+def _weibull_terms(t: np.ndarray, shape: float, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log z, w = z^shape and the Weibull log f at times t >= 0, z = t/scale; log f is -inf at w = inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        power = (p.shape - 1.0) * np.log(z) if p.shape != 1.0 else 0.0
-        w = z**p.shape
-        log_f = np.log(p.shape / p.scale) + power - w
-    return np.where(w < np.inf, log_f, -np.inf), w
+        logz = np.log(t / scale)
+        if not math.isfinite(logz.sum()):  # t/scale left the doubles, or t is 0 or inf
+            logz = np.where(np.isinf(logz) & (t > 0.0) & (t < np.inf), np.log(t) - np.log(scale), logz)
+        w = np.exp(shape * logz)
+        log_f = np.log(shape / scale) - w
+        log_f += (shape - 1.0) * logz if shape != 1.0 else 0.0  # 0 at shape 1, also at an infinite log z
+        if math.isinf(w.sum()):
+            log_f = np.where(w < np.inf, log_f, -np.inf)
+    return logz, w, log_f
 
 
 def weibull_pdf(t, p: WeibullParams):
     """Density (shape/scale) * (t/scale)^(shape-1) * exp(-(t/scale)^shape)."""
     arr = _as_time(t)
-    return _ret(np.exp(_weibull_log_terms(arr, p)[0]), arr)
+    return _exp(_weibull_terms(arr, p.shape, p.scale)[2], arr)
 
 
 def zt_poisson_mean(theta: float) -> float:
@@ -249,13 +254,15 @@ def _log_terms(kind: ModelKind, theta: float, log_f, w, event):
 def model_density(t, m: ModelSpec):
     """Density of either model kind: a(theta) exp(-theta F(t)) f(t)."""
     arr = _as_time(t)
-    return _ret(np.exp(_log_terms(m.kind, m.theta.theta, *_weibull_log_terms(arr, m.weibull), True)), arr)
+    _, w, log_f = _weibull_terms(arr, m.weibull.shape, m.weibull.scale)
+    return _exp(_log_terms(m.kind, m.theta.theta, log_f, w, True), arr)
 
 
 def model_survival(t, m: ModelSpec):
     """Survival of either model kind: exp(-theta F(t)) (ptm), or the zt form of the module docstring."""
     arr = _as_time(t)
-    return _ret(np.exp(_log_terms(m.kind, m.theta.theta, *_weibull_log_terms(arr, m.weibull), False)), arr)
+    _, w, log_f = _weibull_terms(arr, m.weibull.shape, m.weibull.scale)
+    return _exp(_log_terms(m.kind, m.theta.theta, log_f, w, False), arr)
 
 
 @dataclass(frozen=True)

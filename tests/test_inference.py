@@ -312,6 +312,22 @@ class TestKernelIsTheModelTerms:
         if theta >= 1e13:
             assert ll == pytest.approx(no_cure_loglik(pairs, shape, theta0 * scale0**-shape), rel=1e-9)
 
+    def test_where_t_over_scale_overflows(self):
+        # 1.7e308 / 0.5 is past the largest double, but log z = log t - log scale is finite
+        theta, shape, scale = 1.0, 0.001, 0.5
+        times = np.array([0.5, 1.5, 2.5, 1.7e308])
+        pairs, _ = _collapse(times, np.ones(times.size))
+        kind, params = ModelKind.ZERO_TRUNCATED, (theta, shape, scale)
+        ll = _loglik_derivatives(kind, *pairs, params)[0]
+        expected = 0.0
+        for t in times:
+            logz = math.log(t) - math.log(scale)
+            w = math.exp(shape * logz)
+            lead = math.log(theta / -math.expm1(-theta))
+            expected += lead + theta * math.expm1(-w) + math.log(shape / scale) + (shape - 1.0) * logz - w
+        assert ll == pytest.approx(expected, rel=1e-12)
+        assert ll == pytest.approx(model_terms_loglik(kind, pairs, params), rel=1e-12)
+
     def test_zt_survival_is_not_evaluated_on_all_event_records(self):
         # a zt fit has no censored records; its survival, and the g(theta S) it divides for, is never needed
         times, flags, p = random_problem(ModelKind.ZERO_TRUNCATED, 0)
@@ -506,6 +522,15 @@ class TestFitMle:
         assert np.all(np.isnan(fit.se))
         with pytest.raises(ValueError):
             wald_summary(fit)
+
+    def test_censored_record_past_the_doubles_fits_as_a_large_one(self):
+        # at 1.5e308 w is infinite at the start; S w = 0 * inf must not make the score NaN
+        cohort = [(0.5, 1), (1.5, 1), (2.5, 1), (3.5, 0)]
+        huge = fit_mle(mixed(cohort + [(1.5e308, 0)]), ModelKind.PROMOTION_TIME)
+        large = fit_mle(mixed(cohort + [(1e6, 0)]), ModelKind.PROMOTION_TIME)
+        assert huge.converged and large.converged
+        np.testing.assert_array_equal(huge.estimates, large.estimates)
+        assert huge.loglik == large.loglik
 
     def test_no_events_error(self):
         # checked before the distinct event times, so it keeps its own type

@@ -2,12 +2,14 @@
 
 Both kinds are compared with 50-digit mpmath evaluations of the defining
 formulas, wherever the true value is a normal double: theta from 1e-8 to
-1e4 (past exp overflow near 709), shapes from 0.01 to 20 and times from
-1e-300 to 1e300. At t = 0 and t = inf, on the same grid, both kinds take
-their exact limits.
+1e4 (past exp overflow near 709), shapes from 0.01 to 20, scales from 1e-9
+to 1e9 and times from the least subnormal to the largest double, where
+t/scale leaves the doubles. At t = 0 and t = inf, on the same grid, both
+kinds take their exact limits.
 """
 
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -28,32 +30,33 @@ from pwsurv import (
 THETAS = [1e-8, 1e-3, 0.5, 50.0, 700.0, 701.0, 710.0, 1e4]
 SHAPES = [0.01, 0.3, 1.0, 1.5, 8.0, 20.0]
 SCALE = 3.0
-# every decade from 1e-300 to 1e300, plus a fine grid around the scale
-TIMES = np.unique(np.concatenate((np.logspace(-300, 300, 601), SCALE * np.logspace(-2, 1, 181))))
+SCALES = [1e-9, SCALE, 1e9]
 TINY, HUGE = sys.float_info.min, sys.float_info.max
+# every decade from 1e-300 to 1e300, a fine grid around SCALE, and the ends of the doubles
+TIMES = np.unique(np.concatenate((np.logspace(-300, 300, 601), SCALE * np.logspace(-2, 1, 181), [5e-324, HUGE])))
 
 
 @functools.lru_cache(maxsize=None)
-def weibull_reference(shape):
+def weibull_reference(shape, scale):
     """50-digit Weibull survival, cdf and density at every time in TIMES."""
     with mp.workdps(50):
-        a = mp.mpf(shape)
+        a, b = mp.mpf(shape), mp.mpf(scale)
         rows = []
         for t in TIMES:
-            z = mp.mpf(t) / SCALE
+            z = mp.mpf(t) / b
             w = z**a
-            rows.append((mp.exp(-w), -mp.expm1(-w), a / SCALE * z ** (a - 1) * mp.exp(-w)))
+            rows.append((mp.exp(-w), -mp.expm1(-w), a / b * z ** (a - 1) * mp.exp(-w)))
         return rows
 
 
 @functools.lru_cache(maxsize=None)
-def reference(theta, shape):
+def reference(theta, shape, scale):
     """50-digit (density, survival) of each kind at every time in TIMES, as doubles."""
     values = {kind: ([], []) for kind in ModelKind}
     with mp.workdps(50):
         th = mp.mpf(theta)
         zt_norm = -mp.expm1(-th)
-        for surv, cdf, f in weibull_reference(shape):
+        for surv, cdf, f in weibull_reference(shape, scale):
             decay = mp.exp(-th * cdf)
             ptm_density = th * decay * f
             values[ModelKind.PROMOTION_TIME][0].append(ptm_density)
@@ -76,16 +79,17 @@ def assert_matches(got, expected, label):
 @pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_matches_high_precision_reference(kind, shape):
-    for theta in THETAS:
-        m = ModelSpec(kind, LatentCountParams(theta), WeibullParams(shape, SCALE))
+    for scale, theta in itertools.product(SCALES, THETAS):
+        m = ModelSpec(kind, LatentCountParams(theta), WeibullParams(shape, scale))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             density, survival = model_density(TIMES, m), model_survival(TIMES, m)
-        ref_density, ref_survival = reference(theta, shape)[kind]
-        assert_matches(density, ref_density, f"density theta={theta}")
-        assert_matches(survival, ref_survival, f"survival theta={theta}")
+        ref_density, ref_survival = reference(theta, shape, scale)[kind]
+        label = f"scale={scale} theta={theta}"
+        assert_matches(density, ref_density, f"density {label}")
+        assert_matches(survival, ref_survival, f"survival {label}")
         # the zt log terms cancel near t = 0 only up to rounding
-        assert survival.max() <= 1.0, f"survival theta={theta}: {survival.max()!r}"
+        assert survival.max() <= 1.0, f"survival {label}: {survival.max()!r}"
 
 
 @pytest.mark.parametrize("theta", [701.0, 710.0, 1e4])
@@ -118,17 +122,17 @@ def close(got, expected):
 @pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_limits_at_zero_and_infinity(kind, shape):
-    for theta in THETAS:
-        m = ModelSpec(kind, LatentCountParams(theta), WeibullParams(shape, SCALE))
+    for scale, theta in itertools.product(SCALES, THETAS):
+        m = ModelSpec(kind, LatentCountParams(theta), WeibullParams(shape, scale))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (f0, f_inf), (s0, s_inf) = model_density([0.0, math.inf], m), model_survival([0.0, math.inf], m)
-        label = f"theta={theta}"
+        label = f"scale={scale} theta={theta}"
         assert s0 <= 1.0 and close(s0, 1.0), label
         if shape > 1.0:
             assert f0 == 0.0, label
         elif shape == 1.0:
-            assert close(f0, lead(kind, theta) / SCALE), label
+            assert close(f0, lead(kind, theta) / scale), label
         else:
             assert f0 == math.inf, label
         assert f_inf == 0.0, label
