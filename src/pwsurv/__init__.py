@@ -12,8 +12,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each public name and its home module. The package imports a module only
-# when one of its names is first used, so `import pwsurv` (and every
+# Each public name and its home module: the one list of public names, from
+# which each module reads its __all__. The package imports a module only when
+# one of its names is first used, so `import pwsurv` (and every
 # `python -m pwsurv.cli` process) loads no submodule by itself.
 _HOMES = {
     "events": ("EventTable", "to_arrays"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from dataclasses import replace
 from importlib import import_module
 
 import numpy as np
@@ -116,10 +117,11 @@ def _fit_cohorts(args) -> list:
         raise ValueError("--max-iter must be nonnegative")
     if not args.horizon > 0.0:  # also NaN; inf is allowed
         raise ValueError("--horizon must be positive")
-    kind = None if args.model == "auto" else ModelKind(args.model)
-    datasets = read_events_csv(args.input, kind=kind)
+    datasets = read_events_csv(args.input)
     if not datasets:
         raise ValueError(f"{args.input}: no records to fit")
+    if args.model != "auto":  # the reader chose each cohort's kind; --model replaces it
+        datasets = [replace(ds, kind=ModelKind(args.model)) for ds in datasets]
     limit = {} if args.max_iter is None else {"max_iterations": args.max_iter}
     results = []
     for ds in datasets:

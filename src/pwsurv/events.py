@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EventTable", "to_arrays"]
+from . import _HOMES
+
+__all__ = list(_HOMES["events"])
 
 
 @dataclass(frozen=True, eq=False)

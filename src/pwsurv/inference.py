@@ -15,20 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _HOMES
 from .events import EventTable, to_arrays
 from .models import LatentCountParams, ModelKind, ModelSpec, WeibullParams
 from .models import _log_terms, _require_int, _require_kind, _weibull_terms
 from .nonparametric import KmCurve, _collapse
 
-__all__ = [
-    "FitResult",
-    "NoEventsError",
-    "SingularInformationError",
-    "loglik_zt",
-    "loglik_ptm",
-    "fit_mle",
-    "wald_summary",
-]
+__all__ = list(_HOMES["inference"])
 
 PARAM_NAMES = ("theta", "shape", "scale")
 
@@ -219,9 +212,10 @@ def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: n
     value recovers F, whose plot comes first. Then, for both kinds, the plain
     plot of log(-log S) on log t over event times with 0 < S < 1. A plot
     qualifies with at least two points and a least-squares line
-    y = shape * (log t - log scale) of positive finite shape and scale; when
-    none does the start is shape 1 and the mean time. theta starts at 1 for zt
-    and at its clipped profile value for ptm.
+    y = shape * (log t - log scale) of full rank, as np.polyfit reports it,
+    and of positive finite shape and scale; when none does the start is shape
+    1 and the mean time. theta starts at 1 for zt and at its clipped profile
+    value for ptm.
     """
     survival = curve.survival
     plots = []
@@ -236,8 +230,9 @@ def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: n
     plots.append((curve.times[keep], np.log(-np.log(survival[keep]))))
     for t, y in plots:
         if t.size >= 2:
-            slope, intercept = np.polyfit(np.log(t), y, 1)
-            if np.isfinite(slope) and slope > 0.0:
+            # full=True reports the line's rank instead of warning when it is below 2
+            (slope, intercept), _, rank, _, _ = np.polyfit(np.log(t), y, 1, full=True)
+            if rank == 2 and np.isfinite(slope) and slope > 0.0:
                 scale0 = float(np.exp(-intercept / slope))
                 if np.isfinite(scale0) and scale0 > 0.0:
                     shape0 = float(slope)

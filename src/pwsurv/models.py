@@ -39,25 +39,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import _HOMES
 from .events import EventTable
 
-__all__ = [
-    "WeibullParams",
-    "LatentCountParams",
-    "weibull_pdf",
-    "zt_poisson_mean",
-    "ModelKind",
-    "ModelSpec",
-    "ztpw_density",
-    "ptm_density",
-    "ptm_survival",
-    "cure_fraction",
-    "elgd_at_horizon",
-    "model_density",
-    "model_survival",
-    "SimConfig",
-    "simulate_cohort",
-]
+__all__ = list(_HOMES["models"])
 
 
 @dataclass(frozen=True)

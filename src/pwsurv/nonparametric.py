@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .events import EventTable, to_arrays
 
-__all__ = ["KmCurve", "kaplan_meier"]
+__all__ = list(_HOMES["nonparametric"])
 
 
 @dataclass(frozen=True, eq=False)

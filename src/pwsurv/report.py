@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _HOMES
 from .events import EventTable, to_arrays
 from .models import ModelKind, cure_fraction, elgd_at_horizon, zt_poisson_mean
 
@@ -29,17 +30,7 @@ from .models import ModelKind, cure_fraction, elgd_at_horizon, zt_poisson_mean
 if TYPE_CHECKING:
     from .inference import FitResult
 
-__all__ = [
-    "CohortDataset",
-    "CsvFormatError",
-    "SummaryRow",
-    "read_events_csv",
-    "write_events_csv",
-    "build_summary_table",
-    "observed_unrecovered",
-    "format_summary_table",
-    "format_fit_report",
-]
+__all__ = list(_HOMES["report"])
 
 _HEADER = ["time", "event", "cohort"]
 
@@ -55,25 +46,24 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CohortDataset:
-    """One cohort's records plus the model kind chosen for fitting."""
+    """One cohort's records, which carry its label, plus the model kind chosen for fitting."""
 
-    cohort: str
     records: EventTable
     kind: ModelKind
 
+    @property
+    def cohort(self) -> str:
+        return self.records.cohort
 
-def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset]:
+
+def read_events_csv(source) -> list[CohortDataset]:
     """Parse an event CSV into per-cohort datasets, in first-appearance order.
 
-    ``source`` may be a path or an open text stream. When ``kind`` is
-    None the model kind is inferred per cohort: fully observed cohorts get
-    the zero-truncated model, cohorts with censoring the promotion-time
+    ``source`` may be a path or an open text stream. Fully observed cohorts
+    get the zero-truncated model, cohorts with censoring the promotion-time
     model. Each record must fit on one physical line. Malformed input, and a
-    file that is not UTF-8, raises CsvFormatError naming the line. A ``kind``
-    that is neither a ModelKind nor None raises ValueError.
+    file that is not UTF-8, raises CsvFormatError naming the line.
     """
-    if kind is not None and not isinstance(kind, ModelKind):
-        raise ValueError(f"kind must be a ModelKind or None, got {kind!r}")
     owned = isinstance(source, (str, Path))
     stream = open(source, "r", encoding="utf-8", newline="") if owned else source
     try:
@@ -89,19 +79,12 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
                 f"line 1: missing or invalid header, expected {','.join(_HEADER)}"
             )
         labels: dict[str, int] = {}
-        # per cohort code, (times, flags) pieces in file order
-        pieces: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        chunks = []  # each chunk's (times, flags, codes) columns
         first = 2
         while lines := list(islice(stream, _CHUNK_LINES)):
-            times, flags, codes = _parse_chunk(lines, first, labels)
+            chunks.append(_parse_chunk(lines, first, labels))
             first += len(lines)
             del lines  # hold one chunk of lines at a time
-            # blank lines (code -1) fall in bin 0 of the shifted count
-            order = np.argsort(codes, kind="stable")
-            ends = np.cumsum(np.bincount(codes + 1, minlength=len(labels) + 1))
-            for code in np.flatnonzero(np.diff(ends)).tolist():
-                rows = order[ends[code]:ends[code + 1]]
-                pieces.setdefault(code, []).append((times[rows], flags[rows]))
     except UnicodeDecodeError:
         if owned:  # reread, with each byte b that is not UTF-8 as the lone surrogate U+DC00 + b
             with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as text:
@@ -114,17 +97,21 @@ def read_events_csv(source, kind: ModelKind | None = None) -> list[CohortDataset
         if owned:
             stream.close()
 
+    if not labels:
+        return []
+    times, flags, codes = (np.concatenate(column) for column in zip(*chunks))
+    del chunks  # drop each copy of the columns once the next is made
+    # one stable sort groups the records by cohort in file order; blank lines (code -1) sort first
+    ends = np.cumsum(np.bincount(codes + 1, minlength=len(labels) + 1))
+    order = np.argsort(codes, kind="stable")
+    del codes
+    times, flags = times[order], flags[order]
+    del order
     datasets = []
-    for code, cohort in enumerate(labels):
-        times, flags = (np.concatenate(column) for column in zip(*pieces.pop(code)))
-        records = EventTable(times, flags, cohort)
-        if kind is not None:
-            chosen = kind
-        elif records.flags.all():
-            chosen = ModelKind.ZERO_TRUNCATED
-        else:
-            chosen = ModelKind.PROMOTION_TIME
-        datasets.append(CohortDataset(cohort=cohort, records=records, kind=chosen))
+    for cohort, start, stop in zip(labels, ends[:-1], ends[1:]):
+        records = EventTable(times[start:stop], flags[start:stop], cohort)
+        kind = ModelKind.ZERO_TRUNCATED if records.flags.all() else ModelKind.PROMOTION_TIME
+        datasets.append(CohortDataset(records, kind))
     return datasets
 
 

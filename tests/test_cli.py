@@ -164,6 +164,29 @@ class TestFit:
         assert main(["fit", "--input", str(sim_csv), "--model", "bogus"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_model_ptm_replaces_the_kind_of_every_cohort(self, sim_csv, capsys):
+        # two all-event cohorts, which auto fits as zt
+        text = sim_csv.read_text()
+        sim_csv.write_text(text + text.split("\n", 1)[1].replace(",2006", ",2007"))
+        assert main(["fit", "--input", str(sim_csv), "--model", "ptm"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[ptm]") == 2 and "cohort 2006 [ptm]" in out and "cohort 2007 [ptm]" in out
+
+    def test_model_zt_fails_each_censored_cohort(self, ptm_csv, capsys):
+        text = ptm_csv.read_text()
+        ptm_csv.write_text(text + text.split("\n", 1)[1].replace(",2011", ",2012"))
+        assert main(["fit", "--input", str(ptm_csv), "--model", "zt"]) == 1
+        failed = "  FAILED: the zero-truncated model applies to fully observed data; censored records are not allowed"
+        assert capsys.readouterr().out == f"cohort 2011 [zt]\n{failed}\n\ncohort 2012 [zt]\n{failed}\n"
+
+    def test_rank_deficient_start_plot_prints_no_warning(self, tmp_path):
+        # four distinct times with one log: without the rank from polyfit, a process prints numpy's RankWarning
+        times = ["1e15", "1000000000000000.125", "1000000000000000.25", "1000000000000000.375"]
+        (tmp_path / "rank.csv").write_text("time,event,cohort\n" + "".join(f"{t},1,a\n" for t in times + times[:3]))
+        child = python("-m", "pwsurv.cli", "fit", "--input", "rank.csv", cwd=tmp_path)
+        assert (child.returncode, child.stderr) == (2, b"")
+        assert b"NOT CONVERGED" in child.stdout
+
 
 class TestKm:
     def test_plain_curve(self, sim_csv, tmp_path):

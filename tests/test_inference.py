@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -584,8 +585,8 @@ class TestFitMle:
 # _initial_params must reproduce bit for bit.
 
 def _reference_plot_fit(t, y):
-    slope, intercept = np.polyfit(np.log(t), y, 1)
-    if np.isfinite(slope) and slope > 0.0:
+    (slope, intercept), _, rank, _, _ = np.polyfit(np.log(t), y, 1, full=True)
+    if rank == 2 and np.isfinite(slope) and slope > 0.0:
         scale = float(np.exp(-intercept / slope))
         if np.isfinite(scale) and scale > 0.0:
             return float(slope), scale
@@ -662,6 +663,17 @@ class TestStartRule:
         start, reference, _ = self.start(recs, ModelKind.ZERO_TRUNCATED)
         np.testing.assert_array_equal(start, reference)
         np.testing.assert_array_equal(start, [1.0, 1.0, 4.0 / 3.0])
+
+    def test_rank_deficient_plot_does_not_qualify(self):
+        # four distinct times with one log: np.polyfit reports the plot's line as rank deficient
+        recs = events([1e15, 1e15 + 0.125, 1e15 + 0.25, 1e15 + 0.375, 1e15, 1e15 + 0.125, 1e15 + 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start, reference, _ = self.start(recs, ModelKind.ZERO_TRUNCATED)
+            fit = fit_mle(recs, ModelKind.ZERO_TRUNCATED)
+        np.testing.assert_array_equal(start, reference)
+        np.testing.assert_array_equal(start, [1.0, 1.0, float(np.mean(recs.times))])
+        assert not fit.converged and fit.iterations == 200
 
 
 def _reference_direction(hess, g):

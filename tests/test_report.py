@@ -1,6 +1,7 @@
 """CSV ingestion, summary assembly, and the two table renderings."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -44,8 +45,8 @@ def csv_text(rows, quoting=csv.QUOTE_MINIMAL):
     return buf.getvalue()
 
 
-def parse(text, kind=None):
-    return read_events_csv(io.StringIO(text), kind=kind)
+def parse(text):
+    return read_events_csv(io.StringIO(text))
 
 
 def make_fit(model, converged=True, loglik=-100.0):
@@ -78,14 +79,11 @@ class TestReadEventsCsv:
         kinds = {ds.cohort: ds.kind for ds in out}
         assert kinds == {"a": ModelKind.ZERO_TRUNCATED, "b": ModelKind.PROMOTION_TIME}
 
-    def test_kind_override_applies_everywhere(self):
-        out = parse("time,event,cohort\n1.5,1,a\n2.0,1,b\n", kind=ModelKind.PROMOTION_TIME)
-        assert all(ds.kind is ModelKind.PROMOTION_TIME for ds in out)
-
-    @pytest.mark.parametrize("kind", ["zt", "ptm", 1])
-    def test_kind_must_be_a_model_kind(self, kind):
-        with pytest.raises(ValueError, match=f"^kind must be a ModelKind or None, got {kind!r}$"):
-            parse("time,event,cohort\n1.5,1,a\n", kind=kind)
+    def test_dataset_label_is_its_records_label(self):
+        (ds,) = parse("time,event,cohort\n1.5,1,a\n")
+        assert [f.name for f in dataclasses.fields(ds)] == ["records", "kind"]
+        assert ds.cohort == ds.records.cohort == "a"
+        assert dataclasses.replace(ds, kind=ModelKind.PROMOTION_TIME).cohort == "a"
 
     def test_cohorts_keep_first_appearance_order(self):
         out = parse("time,event,cohort\n1,1,z\n2,1,a\n3,1,z\n")
