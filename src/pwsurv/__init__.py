@@ -17,10 +17,13 @@ __version__ = "0.1.0"
 # one of its names is first used, so `import pwsurv` (and every
 # `python -m pwsurv.cli` process) loads no submodule by itself.
 _HOMES = {
-    "events": ("EventTable", "to_arrays"),
+    "events": (
+        "EventTable", "to_arrays", "ModelKind", "CohortDataset", "CsvFormatError",
+        "read_events_csv", "write_events_csv",
+    ),
     "models": (
         "WeibullParams", "LatentCountParams", "weibull_pdf", "zt_poisson_mean",
-        "ModelKind", "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",
+        "ModelSpec", "ztpw_density", "ptm_density", "ptm_survival",
         "cure_fraction", "elgd_at_horizon", "model_density", "model_survival",
         "SimConfig", "simulate_cohort",
     ),
@@ -30,8 +33,7 @@ _HOMES = {
         "fit_mle", "loglik_zt", "loglik_ptm", "wald_summary",
     ),
     "report": (
-        "CohortDataset", "CsvFormatError", "SummaryRow", "read_events_csv", "write_events_csv",
-        "build_summary_table", "format_summary_table", "format_fit_report", "observed_unrecovered",
+        "SummaryRow", "build_summary_table", "format_summary_table", "format_fit_report", "observed_unrecovered",
     ),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

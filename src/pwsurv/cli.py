@@ -18,9 +18,8 @@ from importlib import import_module
 
 import numpy as np
 
-from .models import (
-    LatentCountParams, ModelKind, ModelSpec, SimConfig, WeibullParams, model_survival, simulate_cohort,
-)
+from .events import ModelKind, read_events_csv, write_events_csv, write_overlay_csv
+from .models import LatentCountParams, ModelSpec, SimConfig, WeibullParams, model_survival, simulate_cohort
 
 
 def _deferred(module: str, name: str):
@@ -33,7 +32,7 @@ def _deferred(module: str, name: str):
 
 
 # The handlers look these names up here at call time, so bench/tracing.py can swap them
-# (simulate_cohort too, which the models import above binds).
+# (the CSV functions and simulate_cohort too, which the imports above bind).
 fit_mle = _deferred("inference", "fit_mle")
 kaplan_meier = _deferred("nonparametric", "kaplan_meier")
 build_summary_table = _deferred("report", "build_summary_table")
@@ -42,9 +41,6 @@ fit_report_dict = _deferred("report", "fit_report_dict")
 format_fit_report = _deferred("report", "format_fit_report")
 format_summary_table = _deferred("report", "format_summary_table")
 observed_unrecovered = _deferred("report", "observed_unrecovered")
-read_events_csv = _deferred("report", "read_events_csv")
-write_events_csv = _deferred("report", "write_events_csv")
-write_overlay_csv = _deferred("report", "write_overlay_csv")
 
 
 class _Parser(argparse.ArgumentParser):

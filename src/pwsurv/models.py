@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import _HOMES
-from .events import EventTable
+from .events import EventTable, ModelKind
 
 __all__ = list(_HOMES["models"])
 
@@ -124,11 +123,6 @@ def zt_poisson_mean(theta: float) -> float:
     if not (np.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be a positive finite number, got {theta!r}")
     return float(_zt_mean(theta))
-
-
-class ModelKind(Enum):
-    ZERO_TRUNCATED = "zt"
-    PROMOTION_TIME = "ptm"
 
 
 @dataclass(frozen=True)

@@ -540,10 +540,10 @@ class TestModulesLoaded:
         argv = ["simulate", "--model", "zt", "--theta", "1", "--shape", "1", "--scale", "1",
                 "--n", "10", "--horizon", "inf", "--out", "x.csv"]
         loaded = loaded_modules(f"from pwsurv.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
-        assert not loaded & {"pwsurv.inference", "pwsurv.nonparametric"}
+        assert not loaded & {"pwsurv.inference", "pwsurv.nonparametric", "pwsurv.report"}
 
     def test_km(self, sim_csv, tmp_path):
         argv = ["km", "--input", str(sim_csv), "--out", "km.csv"]
         loaded = loaded_modules(f"from pwsurv.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
         assert "pwsurv.nonparametric" in loaded
-        assert "pwsurv.inference" not in loaded
+        assert not loaded & {"pwsurv.inference", "pwsurv.report"}

@@ -28,8 +28,9 @@ from pwsurv import (
     simulate_cohort,
     write_events_csv,
 )
-from pwsurv import report
-from pwsurv.report import dumps_fit_reports, fit_report_dict, write_overlay_csv
+from pwsurv import events
+from pwsurv.events import write_overlay_csv
+from pwsurv.report import dumps_fit_reports, fit_report_dict
 
 from cohorts import recovery_spec
 
@@ -168,7 +169,7 @@ class TestReadEventsCsv:
             # a multibyte sequence cut short by the line end
             (3, b"2.5,1,b\xc3", "c3"),
             # past the first two reading chunks
-            (2 + 2 * report._CHUNK_LINES, b"2.5,1,\xffb", "ff"),
+            (2 + 2 * events._CHUNK_LINES, b"2.5,1,\xffb", "ff"),
         ],
     )
     def test_file_that_is_not_utf8_names_line(self, tmp_path, line, bad, byte):
@@ -177,6 +178,20 @@ class TestReadEventsCsv:
         p = tmp_path / "events.csv"
         p.write_bytes(b"\r\n".join(lines))
         with pytest.raises(CsvFormatError, match=rf"^line {line}: not UTF-8 text \(byte 0x{byte}\)$"):
+            read_events_csv(p)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([b"time,event,cohort", b"abc,1,a", b"1.5,1,\xffb"], "line 2: non-numeric time 'abc'"),
+            ([b"time,event,cohorX"] + [b"1.5,1,a"] * 100 + [b"2.5,1,\xffb"], "line 1: missing or invalid header"),
+        ],
+    )
+    def test_bad_line_in_front_of_a_byte_that_is_not_utf8_is_named(self, tmp_path, lines, message):
+        # the decoder meets the byte, which it reads ahead, before the line in front is checked
+        p = tmp_path / "events.csv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CsvFormatError, match=f"^{message}"):
             read_events_csv(p)
 
     def test_byte_stream_is_rejected_at_line_1(self):
@@ -397,13 +412,25 @@ class TestRenderings:
 # --- the reader against the row-by-row loop it replaced -------------------
 
 
-def row_loop_oracle(text, newline="\n"):
-    """The reader as one loop over csv rows, with the same checks and messages."""
-    reader = csv.reader(io.StringIO(text, newline=newline))
+def row_loop_oracle(text, newline="\n", escaped=False):
+    """The reader as one loop over csv rows, with the same checks and messages.
+
+    With escaped, the text holds each byte b that is not UTF-8 as the lone
+    surrogate U+DC00 + b, and the first line that holds one fails.
+    """
+    lines = io.StringIO(text, newline=newline)
+    reader = csv.reader(_undecodable_fails(lines) if escaped else lines)
     try:
         return _row_loop(reader)
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def _undecodable_fails(lines):
+    for number, line in enumerate(lines, 1):
+        if bad := [c for c in line if "\udc80" <= c <= "\udcff"]:
+            raise CsvFormatError(f"line {number}: not UTF-8 text (byte 0x{ord(bad[0]) - 0xDC00:02x})")
+        yield line
 
 
 def _row_loop(reader):
@@ -515,7 +542,7 @@ class TestReaderMatchesRowLoop:
             except CsvFormatError as exc:
                 expected = str(exc)
             # a chunk whose first `probe` lines differ is parsed without its dedupe
-            with patch.object(report, "_CHUNK_LINES", chunk), patch.object(report, "_TIE_PROBE", probe):
+            with patch.object(events, "_CHUNK_LINES", chunk), patch.object(events, "_TIE_PROBE", probe):
                 try:
                     got = [
                         (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
@@ -525,24 +552,55 @@ class TestReaderMatchesRowLoop:
                     got = str(exc)
         assert got == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=event_csv(),
+        pad=st.sampled_from([0, 2000]),  # 2000 rows outrun the decoder's read-ahead
+        at=st.floats(0.0, 1.0),
+        byte=st.integers(0x80, 0xFF),
+        chunk=st.integers(1, 64),
+    )
+    def test_file_that_is_not_utf8_fails_at_its_first_bad_line(self, tmp_path_factory, text, pad, at, byte, chunk):
+        data = text.encode(errors="surrogateescape")  # the label "\udcff" is the byte 0xff
+        cut = round(at * len(data))
+        data = data[:cut] + bytes([byte]) + data[cut:]
+        # the padding rows follow the header line, with the byte if it went there
+        header = len("time,event,cohort") + (cut <= len("time,event,cohort"))
+        data = data[:header] + b"\n1,1,pad" * pad + data[header:]
+        try:
+            expected = row_loop_oracle(data.decode(errors="surrogateescape"), newline="", escaped=True)
+        except CsvFormatError as exc:
+            expected = str(exc)
+        path = tmp_path_factory.getbasetemp() / "not-utf8.csv"
+        path.write_bytes(data)
+        with patch.object(events, "_CHUNK_LINES", chunk):
+            try:
+                got = [
+                    (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
+                    for ds in read_events_csv(path)
+                ]
+            except CsvFormatError as exc:
+                got = str(exc)
+        assert got == expected
+
     @pytest.mark.parametrize("probe", [1, 2, 3])
     def test_ties_after_the_probed_lines_are_kept(self, probe):
         # probe 1 sees no tie and parses every line; 2 and 3 see one and deduplicate
         text = "time,event,cohort\n1,1,a\n1,1,a\n2,0,b\n1,1,a\n3,1,a\n"
-        with patch.object(report, "_TIE_PROBE", probe):
+        with patch.object(events, "_TIE_PROBE", probe):
             got = [(ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist()) for ds in parse(text)]
         assert got == [("a", [1.0, 1.0, 1.0, 3.0], [1, 1, 1, 1]), ("b", [2.0], [0])]
 
     def test_plain_chunks_are_parsed_as_columns(self):
         parsed = []
 
-        def spy(lines, labels, real=report._parse_plain):
+        def spy(lines, labels, real=events._parse_plain):
             columns = real(lines, labels)
             parsed.append(columns is not None)
             return columns
 
         plain = "time,event,cohort\r\n1.5,1,a\r\n2,0,b\r\n1_0,1,a"
-        with patch.object(report, "_parse_plain", spy):
+        with patch.object(events, "_parse_plain", spy):
             assert [ds.cohort for ds in parse(plain)] == ["a", "b"]
             # a quote, a padded flag and a blank line parse with the csv module
             for odd in ['1.5,1,"a"', "1.5, 1,a", ""]:
