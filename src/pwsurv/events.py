@@ -13,9 +13,10 @@ import csv
 import io
 import math
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -114,42 +115,28 @@ class CohortDataset:
 def read_events_csv(source) -> list[CohortDataset]:
     """Parse an event CSV into per-cohort datasets, in first-appearance order.
 
-    ``source`` may be a path or an open text stream. Fully observed cohorts
-    get the zero-truncated model, cohorts with censoring the promotion-time
-    model. Each record must fit on one physical line. Malformed input, and a
-    file that is not UTF-8, raises CsvFormatError naming the first bad line.
+    ``source`` may be a path or a text stream, decoded by its caller. Fully
+    observed cohorts get the zero-truncated model, cohorts with censoring the
+    promotion-time model. Each record must fit on one physical line. Malformed
+    input, and a path that is not UTF-8, raises CsvFormatError naming the first bad line.
     """
     owned = isinstance(source, (str, Path))
-    stream = open(source, "r", encoding="utf-8", newline="") if owned else source
-    first = 1  # the first line not yet checked
-    try:
-        _check_header(stream.readline())
-        first = 2
+    opened = (
+        open(source, encoding="utf-8", errors="surrogateescape", newline="") if owned else nullcontext(source)
+    )
+    check_utf8 = _check_utf8 if owned else lambda lines, first: None
+    with opened as stream:
+        line = stream.readline()
+        check_utf8([line], 1)
+        _check_header(line)
+        first = 2  # the number of the chunk's first line
         labels: dict[str, int] = {}
         chunks = []  # each chunk's (times, flags, codes) columns
         while lines := list(islice(stream, _CHUNK_LINES)):
+            check_utf8(lines, first)
             chunks.append(_parse_chunk(lines, first, labels))
             first += len(lines)
             del lines  # hold one chunk of lines at a time
-    except UnicodeDecodeError:
-        if owned:  # reread, with each byte b that is not UTF-8 as the lone surrogate U+DC00 + b
-            # the decoder reads ahead, so the lines from `first` to the byte's, at most a chunk
-            # and the read-ahead, may be unchecked: they are checked before the byte's line fails
-            with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as text:
-                unchecked = []
-                for number, line in enumerate(islice(text, first - 1, None), first):
-                    if bad := [c for c in ("" if line.isascii() else line) if "\udc80" <= c <= "\udcff"]:
-                        if first == 1 and unchecked:  # line 1, the header, is unchecked too
-                            _check_header(unchecked.pop(0))
-                        if unchecked:
-                            _parse_chunk(unchecked, number - len(unchecked), {})
-                        byte = ord(bad[0]) - 0xDC00
-                        raise CsvFormatError(f"line {number}: not UTF-8 text (byte 0x{byte:02x})") from None
-                    unchecked.append(line)
-        raise
-    finally:
-        if owned:
-            stream.close()
 
     if not labels:
         return []
@@ -169,14 +156,26 @@ def read_events_csv(source) -> list[CohortDataset]:
     return datasets
 
 
+def _check_utf8(lines: list[str], first: int) -> None:
+    """Fail the first line with a byte that is not UTF-8, once the lines in front of it pass."""
+    text = "".join(lines)
+    try:
+        if not text.isascii():  # ASCII, the usual case, is known at once
+            text.encode()  # errors="surrogateescape" read a byte b as the lone surrogate U+DC00 + b
+    except UnicodeEncodeError as exc:
+        i = next(i for i, end in enumerate(accumulate(map(len, lines))) if end > exc.start)
+        if i:
+            _parse_chunk(lines[:i], first, {})
+        byte = ord(text[exc.start]) - 0xDC00
+        raise CsvFormatError(f"line {first + i}: not UTF-8 text (byte 0x{byte:02x})") from None
+
+
 def _check_header(line: str) -> None:
     try:
-        header = next(csv.reader([line]))
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        header = next(csv.reader([line[1:] if line[:1] == "\ufeff" else line]))
     except csv.Error as exc:
         raise CsvFormatError(f"line 1: {exc}") from None
-    if header:
-        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
-        header[0] = header[0].removeprefix("\ufeff")
     if [h.strip() for h in header] != _HEADER:
         raise CsvFormatError(f"line 1: missing or invalid header, expected {','.join(_HEADER)}")
 

@@ -21,11 +21,11 @@ from test_report import LABELS, csv_text
 SRC = Path(pwsurv.__file__).resolve().parent.parent
 
 
-def python(*args, cwd=None):
-    """Run a fresh interpreter with this checkout's pwsurv on its path."""
+def python(*args, cwd=None, stdin=None):
+    """Run a fresh interpreter with this checkout's pwsurv on its path, feeding it the bytes stdin."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, check=False)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, input=stdin, capture_output=True, check=False)
 
 
 @pytest.fixture()
@@ -514,6 +514,14 @@ class TestChildProcess:
         child = python("-m", "pwsurv.cli", "fit", "--input", str(bad))
         assert main(["fit", "--input", str(bad)]) == child.returncode == 1
         assert capsys.readouterr().err.encode() == child.stderr
+
+    def test_piped_input_that_is_not_utf8_names_its_first_bad_line(self):
+        # bad bytes on lines 3 and 20004; a pipe cannot be read a second time
+        lines = [b"time,event,cohort"] + [b"1.5,1,a"] * 20003
+        lines[2] = lines[20003] = b"2.5,1,\xffb"
+        child = python("-m", "pwsurv.cli", "km", "--input", "/dev/stdin", stdin=b"\n".join(lines) + b"\n")
+        assert (child.returncode, child.stdout) == (1, b"")
+        assert child.stderr == b"error: line 3: not UTF-8 text (byte 0xff)\n"
 
     def test_nonconvergence_exit_2(self, sim_csv, capsys):
         args = ["fit", "--input", str(sim_csv), "--max-iter", "1"]

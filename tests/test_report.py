@@ -5,12 +5,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwsurv import (
@@ -156,10 +157,13 @@ class TestReadEventsCsv:
     def test_byte_order_mark_on_header_is_ignored(self, tmp_path):
         text = "time,event,cohort\n1.5,1,a\n2.5,0,b\n"
         expected = parse(text)
-        p = tmp_path / "bom.csv"
-        p.write_text("\ufeff" + text, encoding="utf-8")
-        assert read_events_csv(p) == expected
-        assert parse("\ufeff" + text) == expected
+        # the mark comes before the header's first quote, if it has one
+        for header in ["time,event,cohort\n", '"time","event","cohort"\r\n']:
+            marked = "\ufeff" + header + text.split("\n", 1)[1]
+            p = tmp_path / "bom.csv"
+            p.write_text(marked, encoding="utf-8", newline="")
+            assert read_events_csv(p) == expected
+            assert parse(marked) == expected
 
     @pytest.mark.parametrize(
         "line, bad, byte",
@@ -560,6 +564,8 @@ class TestReaderMatchesRowLoop:
         byte=st.integers(0x80, 0xFF),
         chunk=st.integers(1, 64),
     )
+    # the byte goes in front of "b", after the bad time on line 2002
+    @example(text="time,event,cohort\nabc,1,a\n1,1,b\n", pad=2000, at=30 / 32, byte=0xFF, chunk=64)
     def test_file_that_is_not_utf8_fails_at_its_first_bad_line(self, tmp_path_factory, text, pad, at, byte, chunk):
         data = text.encode(errors="surrogateescape")  # the label "\udcff" is the byte 0xff
         cut = round(at * len(data))
@@ -571,17 +577,28 @@ class TestReaderMatchesRowLoop:
             expected = row_loop_oracle(data.decode(errors="surrogateescape"), newline="", escaped=True)
         except CsvFormatError as exc:
             expected = str(exc)
+
+        def read(path):
+            with patch.object(events, "_CHUNK_LINES", chunk):
+                try:
+                    return [
+                        (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
+                        for ds in read_events_csv(path)
+                    ]
+                except CsvFormatError as exc:
+                    return str(exc)
+
         path = tmp_path_factory.getbasetemp() / "not-utf8.csv"
         path.write_bytes(data)
-        with patch.object(events, "_CHUNK_LINES", chunk):
-            try:
-                got = [
-                    (ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist(), ds.kind)
-                    for ds in read_events_csv(path)
-                ]
-            except CsvFormatError as exc:
-                got = str(exc)
-        assert got == expected
+        assert read(path) == expected
+        # a pipe cannot be read twice; the data fit its 64 KiB buffer, so the write does not block
+        out, into = os.pipe()
+        try:
+            with os.fdopen(into, "wb") as writer:
+                writer.write(data)
+            assert read(f"/dev/fd/{out}") == expected
+        finally:
+            os.close(out)
 
     @pytest.mark.parametrize("probe", [1, 2, 3])
     def test_ties_after_the_probed_lines_are_kept(self, probe):
