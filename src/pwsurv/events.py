@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -124,17 +125,13 @@ def read_events_csv(source) -> list[CohortDataset]:
     opened = (
         open(source, encoding="utf-8", errors="surrogateescape", newline="") if owned else nullcontext(source)
     )
-    check_utf8 = _check_utf8 if owned else lambda lines, first: None
     with opened as stream:
-        line = stream.readline()
-        check_utf8([line], 1)
-        _check_header(line)
+        _check_header(stream.readline(), owned)
         first = 2  # the number of the chunk's first line
         labels: dict[str, int] = {}
         chunks = []  # each chunk's (times, flags, codes) columns
         while lines := list(islice(stream, _CHUNK_LINES)):
-            check_utf8(lines, first)
-            chunks.append(_parse_chunk(lines, first, labels))
+            chunks.append(_parse_chunk(lines, first, labels, owned))
             first += len(lines)
             del lines  # hold one chunk of lines at a time
 
@@ -156,21 +153,15 @@ def read_events_csv(source) -> list[CohortDataset]:
     return datasets
 
 
-def _check_utf8(lines: list[str], first: int) -> None:
-    """Fail the first line with a byte that is not UTF-8, once the lines in front of it pass."""
-    text = "".join(lines)
-    try:
-        if not text.isascii():  # ASCII, the usual case, is known at once
-            text.encode()  # errors="surrogateescape" read a byte b as the lone surrogate U+DC00 + b
-    except UnicodeEncodeError as exc:
-        i = next(i for i, end in enumerate(accumulate(map(len, lines))) if end > exc.start)
-        if i:
-            _parse_chunk(lines[:i], first, {})
-        byte = ord(text[exc.start]) - 0xDC00
-        raise CsvFormatError(f"line {first + i}: not UTF-8 text (byte 0x{byte:02x})") from None
+def _not_utf8(line: str) -> str | None:
+    """The error for a line's first byte b not UTF-8, which errors="surrogateescape" read as U+DC00 + b."""
+    byte = re.search("[\udc80-\udcff]", line)
+    return byte and f"not UTF-8 text (byte 0x{ord(byte[0]) - 0xDC00:02x})"
 
 
-def _check_header(line: str) -> None:
+def _check_header(line: str, escaped: bool) -> None:
+    if escaped and (message := _not_utf8(line)):
+        raise CsvFormatError(f"line 1: {message}")
     try:
         # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
         header = next(csv.reader([line[1:] if line[:1] == "\ufeff" else line]))
@@ -181,14 +172,14 @@ def _check_header(line: str) -> None:
 
 
 def _parse_chunk(
-    lines: list[str], first: int, labels: dict[str, int]
+    lines: list[str], first: int, labels: dict[str, int], escaped: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time, flag and cohort-code columns of a chunk of lines, one entry per line.
 
-    ``first`` is the line number of lines[0]. A chunk whose first lines
-    repeat is deduplicated, so each distinct line is parsed once, by
-    _parse_plain or else row by row; a blank line gets code -1 and a new
-    cohort label the next code in ``labels``.
+    ``first`` is the line number of lines[0]. A chunk whose first lines repeat
+    is deduplicated, so each distinct line is parsed once, by _parse_plain or
+    else row by row; a blank line gets code -1 and a new cohort label the next
+    code in ``labels``. With ``escaped``, a lone surrogate is a byte that is not UTF-8.
     """
 
     def error(line: str, message: str) -> CsvFormatError:
@@ -201,13 +192,16 @@ def _parse_chunk(
     if columns is None:
         times, flags, codes = array("d"), array("b"), array("i")
         reader = csv.reader(distinct)
+        spans = "a quoted field spans lines; each record must fit on one line"
         try:
             for line, row in zip(distinct, reader):
+                if escaped and not line.isascii() and (message := _not_utf8(line)):
+                    raise error(line, message)
                 # only an open quote carries a field past the end of its line
                 if '"' in line and (
                     reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
                 ):
-                    raise error(line, "a quoted field spans lines; each record must fit on one line")
+                    raise error(line, spans)
                 if not row:
                     times.append(1.0)
                     flags.append(0)
@@ -229,7 +223,10 @@ def _parse_chunk(
                 flags.append(flag == "1")
                 codes.append(labels.setdefault(cohort, len(labels)))
         except csv.Error as exc:
-            raise error(distinct[reader.line_num - 1], str(exc)) from None
+            record = distinct[len(codes) : reader.line_num]  # a byte past record[0] is in its open quote
+            if escaped and any(map(_not_utf8, record)):
+                raise error(record[0], _not_utf8(record[0]) or spans) from None
+            raise error(record[-1], str(exc)) from None
         columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
 
     if len(distinct) == len(lines):
@@ -245,10 +242,10 @@ def _parse_plain(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The columns of a chunk's lines parsed at once, or None if any line needs the csv module.
 
-    Every line must be ``time,flag,cohort`` ended by LF, CRLF or the end of
-    the input, with no quote, NUL or other CR and no field over the csv field
-    size limit, a time that float() reads as positive and finite, and a flag
-    of exactly 0 or 1. Label codes are assigned only once every check passed.
+    Every line must be ``time,flag,cohort`` ended by LF, CRLF or the end of the
+    input, with no quote, NUL, other CR or lone surrogate and no field over the
+    csv field size limit, a time that float() reads as positive and finite, and
+    a flag of exactly 0 or 1. Label codes are assigned only once every check passed.
     """
     n = len(lines)
     # a comma also joins the lines, so the separators (comma, LF and NUL) must
@@ -256,7 +253,10 @@ def _parse_plain(
     text = ",".join(lines).replace("\r\n", "\n").removesuffix("\n") + "\n"
     if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
         return None
-    raw = np.frombuffer(text.encode(errors="surrogatepass") + b",", np.uint8)
+    try:
+        raw = np.frombuffer(text.encode() + b",", np.uint8)
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
     seps = raw[(raw == ord(",")) | (raw == ord("\n")) | (raw == 0)]
     if seps.size != 4 * n or (seps.reshape(n, 4) != np.frombuffer(b",,\n,", np.uint8)).any():
         return None

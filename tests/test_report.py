@@ -174,6 +174,8 @@ class TestReadEventsCsv:
             (3, b"2.5,1,b\xc3", "c3"),
             # past the first two reading chunks
             (2 + 2 * events._CHUNK_LINES, b"2.5,1,\xffb", "ff"),
+            # the byte comes before the label that is over the field limit
+            (2, b"1,1,\xff" + b"x" * csv.field_size_limit(), "ff"),
         ],
     )
     def test_file_that_is_not_utf8_names_line(self, tmp_path, line, bad, byte):
@@ -189,10 +191,20 @@ class TestReadEventsCsv:
         [
             ([b"time,event,cohort", b"abc,1,a", b"1.5,1,\xffb"], "line 2: non-numeric time 'abc'"),
             ([b"time,event,cohorX"] + [b"1.5,1,a"] * 100 + [b"2.5,1,\xffb"], "line 1: missing or invalid header"),
+            # the open quote on line 2 runs on into the byte
+            ([b"time,event,cohort", b'1,1,"a', b"2,1,\xffb"], "line 2: a quoted field spans lines"),
+            (
+                [b"time,event,cohort", b'1,1,"a', b"\xff" + b"x" * csv.field_size_limit()],
+                "line 2: a quoted field spans lines",
+            ),
+            (
+                [b"time,event,cohort", b"1,1," + b"x" * (csv.field_size_limit() + 1), b"2,1,\xffb"],
+                r"line 2: field larger than field limit \(131072\)",
+            ),
         ],
     )
     def test_bad_line_in_front_of_a_byte_that_is_not_utf8_is_named(self, tmp_path, lines, message):
-        # the decoder meets the byte, which it reads ahead, before the line in front is checked
+        # the byte is one more check of its own line, so a bad line in front of it is named first
         p = tmp_path / "events.csv"
         p.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(CsvFormatError, match=f"^{message}"):
@@ -559,7 +571,7 @@ class TestReaderMatchesRowLoop:
     @settings(max_examples=200, deadline=None)
     @given(
         text=event_csv(),
-        pad=st.sampled_from([0, 2000]),  # 2000 rows outrun the decoder's read-ahead
+        pad=st.sampled_from([0, 2000]),  # 2000 rows put the byte past the first chunks
         at=st.floats(0.0, 1.0),
         byte=st.integers(0x80, 0xFF),
         chunk=st.integers(1, 64),
@@ -629,3 +641,18 @@ class TestReaderMatchesRowLoop:
             with field_size_limit(SMALL_FIELD_LIMIT), pytest.raises(CsvFormatError, match="line 5: field"):
                 parse(plain + "\n1.5,1," + "x" * (SMALL_FIELD_LIMIT + 1))
         assert parsed == [True] + [False] * 8
+
+    def test_file_with_labels_that_are_not_ascii_is_parsed_as_columns(self, tmp_path):
+        parsed = []
+
+        def spy(lines, labels, real=events._parse_plain):
+            columns = real(lines, labels)
+            parsed.append(columns is not None)
+            return columns
+
+        p = tmp_path / "events.csv"
+        p.write_text("time,event,cohort\n1.5,1,２０\n2,0,vintage-２０\n3,1,２０\n", encoding="utf-8")
+        with patch.object(events, "_parse_plain", spy):
+            got = [(ds.cohort, ds.records.times.tolist()) for ds in read_events_csv(p)]
+        assert got == [("２０", [1.5, 3.0]), ("vintage-２０", [2.0])]
+        assert parsed == [True]
