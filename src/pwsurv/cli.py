@@ -55,12 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fit, simulate and report latent-count Weibull survival models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [kind.value for kind in ModelKind]
 
     fit = sub.add_parser("fit", help="fit each cohort in an event CSV")
     fit.add_argument("--format", choices=["text", "json"], default="text")
 
     sim = sub.add_parser("simulate", help="draw a synthetic cohort and write it as CSV")
-    sim.add_argument("--model", choices=["zt", "ptm"], required=True)
+    sim.add_argument("--model", choices=kinds, required=True)
     sim.add_argument("--theta", type=float, required=True, help="latent count intensity")
     sim.add_argument("--shape", type=float, required=True, help="Weibull shape")
     sim.add_argument("--scale", type=float, required=True, help="Weibull scale")
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     km = sub.add_parser("km", help="product-limit curves per cohort as CSV")
     km.add_argument("--input", required=True)
     km.add_argument("--out", default=None, help="destination CSV (default stdout)")
-    km.add_argument("--overlay-model", choices=["zt", "ptm"], default=None)
+    km.add_argument("--overlay-model", choices=kinds, default=None)
     km.add_argument("--overlay-theta", type=float, default=None)
     km.add_argument("--overlay-shape", type=float, default=None)
     km.add_argument("--overlay-scale", type=float, default=None)
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         fitting.add_argument("--input", required=True, help="event CSV (time,event,cohort)")
         fitting.add_argument(
             "--model",
-            choices=["zt", "ptm", "auto"],
+            choices=[*kinds, "auto"],
             default="auto",
             help="model for every cohort; auto picks zt for fully observed cohorts",
         )

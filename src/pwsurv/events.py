@@ -119,19 +119,20 @@ def read_events_csv(source) -> list[CohortDataset]:
     ``source`` may be a path or a text stream, decoded by its caller. Fully
     observed cohorts get the zero-truncated model, cohorts with censoring the
     promotion-time model. Each record must fit on one physical line. Malformed
-    input, and a path that is not UTF-8, raises CsvFormatError naming the first bad line.
+    input raises CsvFormatError naming the first bad line, and so does a byte that
+    is not UTF-8, from a path or as a stream's lone surrogate (errors="surrogateescape").
     """
     owned = isinstance(source, (str, Path))
     opened = (
         open(source, encoding="utf-8", errors="surrogateescape", newline="") if owned else nullcontext(source)
     )
     with opened as stream:
-        _check_header(stream.readline(), owned)
+        _check_header(stream.readline())
         first = 2  # the number of the chunk's first line
         labels: dict[str, int] = {}
         chunks = []  # each chunk's (times, flags, codes) columns
         while lines := list(islice(stream, _CHUNK_LINES)):
-            chunks.append(_parse_chunk(lines, first, labels, owned))
+            chunks.append(_parse_chunk(lines, first, labels))
             first += len(lines)
             del lines  # hold one chunk of lines at a time
 
@@ -159,8 +160,8 @@ def _not_utf8(line: str) -> str | None:
     return byte and f"not UTF-8 text (byte 0x{ord(byte[0]) - 0xDC00:02x})"
 
 
-def _check_header(line: str, escaped: bool) -> None:
-    if escaped and (message := _not_utf8(line)):
+def _check_header(line: str) -> None:
+    if isinstance(line, str) and (message := _not_utf8(line)):  # the csv module rejects bytes below
         raise CsvFormatError(f"line 1: {message}")
     try:
         # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
@@ -172,14 +173,14 @@ def _check_header(line: str, escaped: bool) -> None:
 
 
 def _parse_chunk(
-    lines: list[str], first: int, labels: dict[str, int], escaped: bool
+    lines: list[str], first: int, labels: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time, flag and cohort-code columns of a chunk of lines, one entry per line.
 
     ``first`` is the line number of lines[0]. A chunk whose first lines repeat
     is deduplicated, so each distinct line is parsed once, by _parse_plain or
     else row by row; a blank line gets code -1 and a new cohort label the next
-    code in ``labels``. With ``escaped``, a lone surrogate is a byte that is not UTF-8.
+    code in ``labels``. A lone surrogate is a byte that is not UTF-8.
     """
 
     def error(line: str, message: str) -> CsvFormatError:
@@ -195,7 +196,7 @@ def _parse_chunk(
         spans = "a quoted field spans lines; each record must fit on one line"
         try:
             for line, row in zip(distinct, reader):
-                if escaped and not line.isascii() and (message := _not_utf8(line)):
+                if not line.isascii() and (message := _not_utf8(line)):
                     raise error(line, message)
                 # only an open quote carries a field past the end of its line
                 if '"' in line and (
@@ -222,11 +223,9 @@ def _parse_chunk(
                 times.append(time)
                 flags.append(flag == "1")
                 codes.append(labels.setdefault(cohort, len(labels)))
-        except csv.Error as exc:
-            record = distinct[len(codes) : reader.line_num]  # a byte past record[0] is in its open quote
-            if escaped and any(map(_not_utf8, record)):
-                raise error(record[0], _not_utf8(record[0]) or spans) from None
-            raise error(record[-1], str(exc)) from None
+        except csv.Error as exc:  # named by the record's first line; only an open quote runs past it
+            record = distinct[len(codes) : reader.line_num]
+            raise error(record[0], _not_utf8(record[0]) or (spans if len(record) > 1 else str(exc))) from None
         columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
 
     if len(distinct) == len(lines):
@@ -277,7 +276,7 @@ def _parse_plain(
 
 
 def _quoted(label: str) -> str:
-    """A cohort label as csv.writer quotes it, with % escaped for %-formatting.
+    """A cohort label as csv.writer quotes it, with % doubled for %-formatting.
 
     Raises ValueError for a label with a line break, which could not be read
     back: every record sits on one line.

@@ -385,8 +385,8 @@ def fit_mle(
             "needs at least two distinct event times; the Weibull shape has no finite estimate"
         )
 
-    start = _initial_params(kind, curve, times, flags)
     with np.errstate(all="ignore"):
+        start = _initial_params(kind, curve, times, flags)
         estimates, ll, hess, trace, converged, iterations, gnorm = _newton_maximize(
             kind, pairs, start, max_iterations
         )

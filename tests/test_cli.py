@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,9 @@ import pytest
 
 import pwsurv
 import pwsurv.cli as cli
-from pwsurv import EventTable, ModelKind, ModelSpec, SingularInformationError, kaplan_meier, model_survival
+from pwsurv import (
+    CsvFormatError, EventTable, ModelKind, ModelSpec, SingularInformationError, kaplan_meier, model_survival
+)
 from pwsurv.cli import main
 
 from test_report import LABELS, csv_text
@@ -522,6 +525,42 @@ class TestChildProcess:
         child = python("-m", "pwsurv.cli", "km", "--input", "/dev/stdin", stdin=b"\n".join(lines) + b"\n")
         assert (child.returncode, child.stdout) == (1, b"")
         assert child.stderr == b"error: line 3: not UTF-8 text (byte 0xff)\n"
+
+    def test_byte_that_is_not_utf8_is_named_alike_from_every_source(self, tmp_path):
+        data = b"time,event,cohort\n1.5,1,a\n2.5,1,\xffb\n"
+        path = tmp_path / "not-utf8.csv"
+        path.write_bytes(data)
+        message = "line 3: not UTF-8 text (byte 0xff)"
+        # a path, and a stream that holds the byte as errors="surrogateescape" reads it
+        for source in [path, io.StringIO(data.decode(errors="surrogateescape"), newline="")]:
+            with pytest.raises(CsvFormatError) as caught:
+                pwsurv.read_events_csv(source)
+            assert str(caught.value) == message
+        # /dev/stdin is a path; sys.stdin in UTF-8 mode reads with errors="surrogateescape"
+        read = "import sys, pwsurv\ntry: pwsurv.read_events_csv(sys.argv[1] if sys.argv[1:] else sys.stdin)\n"
+        read += "except pwsurv.CsvFormatError as exc: print(exc)"
+        for args in [["-c", read, "/dev/stdin"], ["-X", "utf8", "-c", read]]:
+            child = python(*args, stdin=data)
+            assert (child.returncode, child.stdout, child.stderr) == (0, message.encode() + b"\n", b"")
+        # a stream decoded strictly by its caller raises the caller's error
+        with pytest.raises(UnicodeDecodeError):
+            pwsurv.read_events_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+    def test_start_values_that_overflow_print_no_warning(self, tmp_path, capsys):
+        # the zt cohort's mean time overflows, and so does the ptm cohort's profile sum
+        # at its start; a RuntimeWarning would be an error in the child, as it is here
+        rows = "1e308,1,zt\n1e308,1,zt\n1.7e308,1,zt\n1e-300,1,ptm\n2e-300,1,ptm\n3e-300,0,ptm\n1,0,ptm\n"
+        path = tmp_path / "overflow.csv"
+        path.write_text((Path(__file__).parent / "data" / "rendering" / "events.csv").read_text() + rows)
+        args = ["fit", "--input", str(path)]
+        child = python("-W", "error::RuntimeWarning", "-m", "pwsurv.cli", *args)
+        assert main(args) == child.returncode == 1
+        assert (capsys.readouterr().out.encode(), child.stderr) == (child.stdout, b"")
+        blocks = child.stdout.decode().split("\n\n")
+        assert [block.split("\n")[0] for block in blocks] == [
+            "cohort 2008 [zt]", "cohort 2011 [ptm]", "cohort late [ptm]", "cohort zt [zt]", "cohort ptm [ptm]"
+        ]
+        assert blocks[3] == "cohort zt [zt]\n  FAILED: log-likelihood is not finite at the starting point"
 
     def test_nonconvergence_exit_2(self, sim_csv, capsys):
         args = ["fit", "--input", str(sim_csv), "--max-iter", "1"]

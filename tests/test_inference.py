@@ -675,6 +675,16 @@ class TestStartRule:
         np.testing.assert_array_equal(start, [1.0, 1.0, float(np.mean(recs.times))])
         assert not fit.converged and fit.iterations == 200
 
+    # pytest's filter makes a RuntimeWarning an error, so the start values that overflow must warn nothing
+    def test_zt_start_whose_mean_time_overflows_fails_as_not_finite(self):
+        with pytest.raises(ValueError, match="^log-likelihood is not finite at the starting point$"):
+            fit_mle(events([1e308, 1e308, 1.7e308]), ModelKind.ZERO_TRUNCATED)
+
+    def test_ptm_start_whose_profile_sum_overflows_is_fit(self):
+        # the KM plot qualifies with a scale near 1e-300, so (t / scale) ** shape overflows at t = 1
+        fit = fit_mle(mixed([(1e-300, 1), (2e-300, 1), (3e-300, 0), (1.0, 0)]), ModelKind.PROMOTION_TIME)
+        assert np.isfinite(fit.loglik) and fit.iterations > 0
+
 
 def _reference_direction(hess, g):
     """The ridge rule as a Cholesky attempt per shift, kept as the reference for the eigenvalue rule."""

@@ -137,6 +137,10 @@ class TestReadEventsCsv:
             ('time,event,cohort\r\n1,1,"a\r\nb"\r\n', 2),
             # an open quote at the last distinct line, whose next line repeats an earlier one
             ('time,event,cohort\n2,1,b\n1,1,"a\n2,1,b\n', 3),
+            # the csv module rejects the record on its second line, a field over the limit
+            pytest.param('time,event,cohort\n1,1,"a\n' + "x" * (csv.field_size_limit() + 1) + "\n", 2, id="limit"),
+            # ...or on its third
+            pytest.param('time,event,cohort\n1,1,a\n1,1,"a\nb\n' + "x" * csv.field_size_limit(), 3, id="limit-3"),
         ],
     )
     def test_record_spanning_lines_names_line(self, text, line):
@@ -428,14 +432,13 @@ class TestRenderings:
 # --- the reader against the row-by-row loop it replaced -------------------
 
 
-def row_loop_oracle(text, newline="\n", escaped=False):
+def row_loop_oracle(text, newline="\n"):
     """The reader as one loop over csv rows, with the same checks and messages.
 
-    With escaped, the text holds each byte b that is not UTF-8 as the lone
-    surrogate U+DC00 + b, and the first line that holds one fails.
+    The text holds each byte b that is not UTF-8 as the lone surrogate
+    U+DC00 + b, and the first line that holds one fails.
     """
-    lines = io.StringIO(text, newline=newline)
-    reader = csv.reader(_undecodable_fails(lines) if escaped else lines)
+    reader = csv.reader(_undecodable_fails(io.StringIO(text, newline=newline)))
     try:
         return _row_loop(reader)
     except csv.Error as exc:
@@ -502,9 +505,9 @@ BAD_ROWS = [
     "1,01,a", "1,10,a", "1,00,a",
 ]
 # labels csv.writer leaves unquoted, so chunks of distinct rows take the columnar parse;
-# the csv module reads a NUL as part of a label, a stream opened with
-# errors="surrogateescape" gives lone surrogates, and the long label is over the
-# field limit when it is patched down
+# the csv module reads a NUL as part of a label, the lone surrogate is the byte 0xff
+# as errors="surrogateescape" reads it, which fails its line in reader and oracle alike,
+# and the long label is over the field limit when it is patched down
 PLAIN_LABELS = ["2008", "", " pad ", "{0}", "%s", "１２", "a\x00b", "\udcff", "x" * (SMALL_FIELD_LIMIT + 1)]
 
 
@@ -586,7 +589,7 @@ class TestReaderMatchesRowLoop:
         header = len("time,event,cohort") + (cut <= len("time,event,cohort"))
         data = data[:header] + b"\n1,1,pad" * pad + data[header:]
         try:
-            expected = row_loop_oracle(data.decode(errors="surrogateescape"), newline="", escaped=True)
+            expected = row_loop_oracle(data.decode(errors="surrogateescape"), newline="")
         except CsvFormatError as exc:
             expected = str(exc)
 
@@ -603,6 +606,8 @@ class TestReaderMatchesRowLoop:
         path = tmp_path_factory.getbasetemp() / "not-utf8.csv"
         path.write_bytes(data)
         assert read(path) == expected
+        # a stream decoded as the reader decodes a path holds each byte as the same lone surrogate
+        assert read(io.StringIO(data.decode(errors="surrogateescape"), newline="")) == expected
         # a pipe cannot be read twice; the data fit its 64 KiB buffer, so the write does not block
         out, into = os.pipe()
         try:
