@@ -192,16 +192,14 @@ def _parse_chunk(
     columns = _parse_plain(distinct, labels)
     if columns is None:
         times, flags, codes = array("d"), array("b"), array("i")
-        reader = csv.reader(distinct)
+        reader = csv.reader(distinct, strict=True)
         spans = "a quoted field spans lines; each record must fit on one line"
         try:
             for line, row in zip(distinct, reader):
                 if not line.isascii() and (message := _not_utf8(line)):
                     raise error(line, message)
                 # only an open quote carries a field past the end of its line
-                if '"' in line and (
-                    reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
-                ):
+                if reader.line_num > len(codes) + 1:
                     raise error(line, spans)
                 if not row:
                     times.append(1.0)
@@ -223,9 +221,10 @@ def _parse_chunk(
                 times.append(time)
                 flags.append(flag == "1")
                 codes.append(labels.setdefault(cohort, len(labels)))
-        except csv.Error as exc:  # named by the record's first line; only an open quote runs past it
+        except csv.Error as exc:  # named by the record's first line; an open quote runs past it or to the end
             record = distinct[len(codes) : reader.line_num]
-            raise error(record[0], _not_utf8(record[0]) or (spans if len(record) > 1 else str(exc))) from None
+            quote_open = len(record) > 1 or str(exc) == "unexpected end of data"
+            raise error(record[0], _not_utf8(record[0]) or (spans if quote_open else str(exc))) from None
         columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
 
     if len(distinct) == len(lines):
@@ -279,10 +278,13 @@ def _quoted(label: str) -> str:
     """A cohort label as csv.writer quotes it, with % doubled for %-formatting.
 
     Raises ValueError for a label with a line break, which could not be read
-    back: every record sits on one line.
+    back (every record sits on one line), or with a lone surrogate, which
+    UTF-8 cannot encode.
     """
     if "\n" in label or "\r" in label:
         raise ValueError(f"cohort label {label!r} contains a line break")
+    if re.search("[\ud800-\udfff]", label):
+        raise ValueError(f"cohort label {label!r} contains a lone surrogate")
     buf = io.StringIO()
     csv.writer(buf).writerow([label, ""])
     return buf.getvalue()[: -len(",\r\n")].replace("%", "%%")
@@ -292,7 +294,8 @@ def write_events_csv(table: EventTable, dest) -> None:
     """Write a cohort in the input CSV schema; times keep 17 significant digits.
 
     Rows end in CRLF, as csv.writer writes them. A cohort label may not
-    contain a line break (ValueError).
+    contain a line break or a lone surrogate (ValueError, raised before
+    anything is written).
     """
     columns = list(to_arrays(table))
     # time and flag as csv.writer writes "{:.17g}" and an int
@@ -323,8 +326,9 @@ def _write_columns(dest, header: list[str], groups: list[tuple[str, list[np.ndar
 def write_overlay_csv(columns_by_cohort: Mapping[str, Sequence], dest, with_model: bool) -> None:
     """Columns (t, km[, model]) per cohort as CSV, cohort,t,km[,model], cohorts sorted by label.
 
-    A cohort with another number of columns or with columns of unequal
-    length is a ValueError naming it, raised before anything is written.
+    A cohort with another number of columns, with columns of unequal length
+    or with a label that write_events_csv refuses is a ValueError naming it,
+    raised before anything is written.
     """
     header = ["cohort", "t", "km", "model"] if with_model else ["cohort", "t", "km"]
     width = len(header) - 1

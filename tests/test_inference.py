@@ -581,6 +581,28 @@ class TestFitMle:
         assert fit.converged and fit.iterations == fit_mle(ZT_TOY, ModelKind.ZERO_TRUNCATED).iterations
 
 
+class TestPosteriorLatentCount:
+    """θ's score equation at the MLE, read as an identity on the posterior mean of M.
+
+    Given an event at t, M - 1 ~ Poisson(θ·S(t)); given a promotion-time record
+    censored at c, M ~ Poisson(θ·S(c)), with S the fitted Weibull survival. At a
+    converged fit the cohort mean of E[M | record] is θ̂ (ptm) or θ̂/(1 - e^{-θ̂}) (zt).
+    """
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    @pytest.mark.parametrize("label, spec", all_specs(), ids=[label for label, _ in all_specs()])
+    def test_mean_posterior_count_is_the_latent_mean(self, label, spec, n):
+        horizon = math.inf if spec.kind is ModelKind.ZERO_TRUNCATED else HORIZON
+        recs = simulate_cohort(SimConfig(model=spec, n=n, horizon=horizon, seed=3))
+        fit = fit_mle(recs, spec.kind)
+        assert fit.converged
+        theta, shape, scale = fit.estimates
+        survival = np.exp(-((recs.times / scale) ** shape))
+        posterior_mean = np.mean(recs.flags + theta * survival)
+        latent_mean = theta / -math.expm1(-theta) if spec.kind is ModelKind.ZERO_TRUNCATED else theta
+        assert posterior_mean == pytest.approx(latent_mean, rel=1e-12, abs=0.0)
+
+
 # The start rule as three functions, kept as the reference the one rule in
 # _initial_params must reproduce bit for bit.
 

@@ -141,11 +141,24 @@ class TestReadEventsCsv:
             pytest.param('time,event,cohort\n1,1,"a\n' + "x" * (csv.field_size_limit() + 1) + "\n", 2, id="limit"),
             # ...or on its third
             pytest.param('time,event,cohort\n1,1,a\n1,1,"a\nb\n' + "x" * csv.field_size_limit(), 3, id="limit-3"),
+            # a quote still open at the end of the input, with no line end after it
+            pytest.param('time,event,cohort\n1,1,a\n2,1,"a', 3, id="open-at-end"),
+            pytest.param('time,event,cohort\r\n1,1,a\r\n2,1,"a', 3, id="open-at-end-crlf"),
         ],
     )
     def test_record_spanning_lines_names_line(self, text, line):
         with pytest.raises(CsvFormatError, match=f"line {line}: a quoted field spans lines"):
             parse(text)
+
+    @pytest.mark.parametrize("text", ['1,1,"a"b', '1,1,"a" ', '"1"x,1,a'])
+    def test_text_after_closing_quote_names_line(self, tmp_path, text):
+        data = "time,event,cohort\n0.5,1,a\n" + text + "\n"
+        with pytest.raises(CsvFormatError, match="^line 3: ',' expected after '\"'$"):
+            parse(data)
+        p = tmp_path / "events.csv"
+        p.write_text(data, encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="^line 3: ',' expected after '\"'$"):
+            read_events_csv(p)
 
     def test_oversized_field_names_line(self):
         text = "time,event,cohort\n1,1,a\n2,1," + "x" * 200_000 + "\n"
@@ -250,6 +263,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line break"):
             write_events_csv(table, buf)
         assert buf.getvalue() == ""
+
+    # a lone surrogate, as a stream decoded with errors="surrogatepass" yields one, is not UTF-8
+    @pytest.mark.parametrize("label", ["\ud800", "a\udfffb", "\udcff"])
+    def test_label_with_lone_surrogate_is_not_written(self, label, tmp_path):
+        table = EventTable(np.array([1.0]), np.array([1]), label)
+        columns = {label: [np.array([0.0]), np.array([1.0])]}
+        writers = [lambda dest: write_events_csv(table, dest), lambda dest: write_overlay_csv(columns, dest, False)]
+        for write in writers:
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match="lone surrogate"):
+                write(buf)
+            assert buf.getvalue() == ""
+            with pytest.raises(ValueError, match="lone surrogate"):
+                write(tmp_path / "out.csv")
+            assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("label", LABELS)
     def test_event_write_matches_csv_writer(self, label):
