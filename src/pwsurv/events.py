@@ -198,8 +198,11 @@ def _parse_chunk(
             for line, row in zip(distinct, reader):
                 if not line.isascii() and (message := _not_utf8(line)):
                     raise error(line, message)
-                # only an open quote carries a field past the end of its line
-                if reader.line_num > len(codes) + 1:
+                # only an open quote carries a field past the end of its line, or past a
+                # line break the stream did not end it at (io.StringIO's only ending is "\n")
+                if '"' in line and (
+                    reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
+                ):
                     raise error(line, spans)
                 if not row:
                     times.append(1.0)
@@ -223,6 +226,8 @@ def _parse_chunk(
                 codes.append(labels.setdefault(cohort, len(labels)))
         except csv.Error as exc:  # named by the record's first line; an open quote runs past it or to the end
             record = distinct[len(codes) : reader.line_num]
+            # strict csv's message for a quote open at the end of the input; the case
+            # open-at-end of test_record_spanning_lines_names_line guards this text
             quote_open = len(record) > 1 or str(exc) == "unexpected end of data"
             raise error(record[0], _not_utf8(record[0]) or (spans if quote_open else str(exc))) from None
         columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))

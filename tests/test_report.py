@@ -144,11 +144,21 @@ class TestReadEventsCsv:
             # a quote still open at the end of the input, with no line end after it
             pytest.param('time,event,cohort\n1,1,a\n2,1,"a', 3, id="open-at-end"),
             pytest.param('time,event,cohort\r\n1,1,a\r\n2,1,"a', 3, id="open-at-end-crlf"),
+            # a quoted line break that the stream does not split at (io.StringIO splits at "\n" only)
+            pytest.param('time,event,cohort\n1,1,"a\rb"\n', 2, id="cr-in-quote"),
         ],
     )
     def test_record_spanning_lines_names_line(self, text, line):
         with pytest.raises(CsvFormatError, match=f"line {line}: a quoted field spans lines"):
             parse(text)
+
+    # a text stream over bytes splits only at its newline and reads any other line break as is
+    @pytest.mark.parametrize("newline, inside", [("\r\n", "\n"), ("\r\n", "\r"), ("\r", "\n")])
+    def test_quoted_line_break_within_one_stream_line_names_line(self, newline, inside):
+        text = newline.join(["time,event,cohort", "1,1,a", f'2,1,"a{inside}b"', ""])
+        stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+        with pytest.raises(CsvFormatError, match="^line 3: a quoted field spans lines"):
+            read_events_csv(stream)
 
     @pytest.mark.parametrize("text", ['1,1,"a"b', '1,1,"a" ', '"1"x,1,a'])
     def test_text_after_closing_quote_names_line(self, tmp_path, text):
@@ -256,26 +266,22 @@ class TestCsvRoundTrip:
         assert buf.getvalue() == "time,event,cohort\r\n1,1,a\r\n2,0,a\r\n"
         assert read_events_csv(io.StringIO(buf.getvalue()))[0].records == recs
 
-    @pytest.mark.parametrize("label", ["a\nb", "a\r", "\r\n"])
-    def test_label_with_line_break_is_not_written(self, label):
-        table = EventTable(np.array([1.0]), np.array([1]), label)
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="line break"):
-            write_events_csv(table, buf)
-        assert buf.getvalue() == ""
-
-    # a lone surrogate, as a stream decoded with errors="surrogatepass" yields one, is not UTF-8
-    @pytest.mark.parametrize("label", ["\ud800", "a\udfffb", "\udcff"])
-    def test_label_with_lone_surrogate_is_not_written(self, label, tmp_path):
+    @pytest.mark.parametrize(
+        "label, match",
+        [("a\nb", "line break"), ("a\r", "line break"), ("\r\n", "line break")]
+        # a lone surrogate, as a stream decoded with errors="surrogatepass" yields one, is not UTF-8
+        + [("\ud800", "lone surrogate"), ("a\udfffb", "lone surrogate"), ("\udcff", "lone surrogate")],
+    )
+    def test_unwritable_label_is_not_written(self, label, match, tmp_path):
         table = EventTable(np.array([1.0]), np.array([1]), label)
         columns = {label: [np.array([0.0]), np.array([1.0])]}
         writers = [lambda dest: write_events_csv(table, dest), lambda dest: write_overlay_csv(columns, dest, False)]
         for write in writers:
             buf = io.StringIO()
-            with pytest.raises(ValueError, match="lone surrogate"):
+            with pytest.raises(ValueError, match=match):
                 write(buf)
             assert buf.getvalue() == ""
-            with pytest.raises(ValueError, match="lone surrogate"):
+            with pytest.raises(ValueError, match=match):
                 write(tmp_path / "out.csv")
             assert not (tmp_path / "out.csv").exists()
 
