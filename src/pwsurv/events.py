@@ -17,7 +17,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -165,7 +165,7 @@ def _check_header(line: str) -> None:
         raise CsvFormatError(f"line 1: {message}")
     try:
         # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
-        header = next(csv.reader([line[1:] if line[:1] == "\ufeff" else line]))
+        header = next(csv.reader([line[1:] if line[:1] == "\ufeff" else line], strict=True))
     except csv.Error as exc:
         raise CsvFormatError(f"line 1: {exc}") from None
     if [h.strip() for h in header] != _HEADER:
@@ -192,7 +192,8 @@ def _parse_chunk(
     columns = _parse_plain(distinct, labels)
     if columns is None:
         times, flags, codes = array("d"), array("b"), array("i")
-        reader = csv.reader(distinct, strict=True)
+        # a closing quote after the last line ends a record still open there on a later line
+        reader = csv.reader(chain(distinct, ['"']), strict=True)
         spans = "a quoted field spans lines; each record must fit on one line"
         try:
             for line, row in zip(distinct, reader):
@@ -201,7 +202,7 @@ def _parse_chunk(
                 # only an open quote carries a field past the end of its line, or past a
                 # line break the stream did not end it at (io.StringIO's only ending is "\n")
                 if '"' in line and (
-                    reader.line_num > len(codes) + 1 or any("\n" in f or "\r" in f for f in row)
+                    reader.line_num > len(codes) + 1 or "\r" in (body := line.rstrip("\r\n")) or "\n" in body
                 ):
                     raise error(line, spans)
                 if not row:
@@ -224,12 +225,9 @@ def _parse_chunk(
                 times.append(time)
                 flags.append(flag == "1")
                 codes.append(labels.setdefault(cohort, len(labels)))
-        except csv.Error as exc:  # named by the record's first line; an open quote runs past it or to the end
+        except csv.Error as exc:  # named by the record's first line; an open quote runs past it
             record = distinct[len(codes) : reader.line_num]
-            # strict csv's message for a quote open at the end of the input; the case
-            # open-at-end of test_record_spanning_lines_names_line guards this text
-            quote_open = len(record) > 1 or str(exc) == "unexpected end of data"
-            raise error(record[0], _not_utf8(record[0]) or (spans if quote_open else str(exc))) from None
+            raise error(record[0], _not_utf8(record[0]) or (spans if len(record) > 1 else str(exc))) from None
         columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
 
     if len(distinct) == len(lines):

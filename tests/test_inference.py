@@ -49,6 +49,7 @@ from pwsurv.inference import (
     _zt_loglik,
     _zt_score,
 )
+from pwsurv.models import _latent_count
 from pwsurv.report import fit_report_dict
 
 from cohorts import DEFAULT_FITS, HORIZON, RECOVERY_FITS, all_specs, estimates, recovery_spec
@@ -587,6 +588,7 @@ class TestPosteriorLatentCount:
     Given an event at t, M - 1 ~ Poisson(θ·S(t)); given a promotion-time record
     censored at c, M ~ Poisson(θ·S(c)), with S the fitted Weibull survival. At a
     converged fit the cohort mean of E[M | record] is θ̂ (ptm) or θ̂/(1 - e^{-θ̂}) (zt).
+    At the true parameters, E[M | record] is calibrated against the simulated M.
     """
 
     @pytest.mark.parametrize("n", [2000, 20000])
@@ -601,6 +603,23 @@ class TestPosteriorLatentCount:
         posterior_mean = np.mean(recs.flags + theta * survival)
         latent_mean = theta / -math.expm1(-theta) if spec.kind is ModelKind.ZERO_TRUNCATED else theta
         assert posterior_mean == pytest.approx(latent_mean, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("label, spec", all_specs(), ids=[label for label, _ in all_specs()])
+    def test_posterior_count_is_calibrated(self, label, spec):
+        n, seed = 20000, 3
+        horizon = math.inf if spec.kind is ModelKind.ZERO_TRUNCATED else HORIZON
+        recs = simulate_cohort(SimConfig(model=spec, n=n, horizon=horizon, seed=seed))
+        theta, shape, scale = spec.params()
+        # each subject's M, redrawn from the streams simulate_cohort reads
+        uniforms, counts, _ = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+        m = _latent_count(spec.kind, theta, uniforms.random(n), counts)
+        assert not recs.flags[m == 0].any()  # a cured subject is censored
+        expected = recs.flags + theta * np.exp(-((recs.times / scale) ** shape))
+        gap = m - expected
+        # the whole cohort, then five equal-count bins by rank of E[M | record]
+        for part in [gap, *np.array_split(gap[np.argsort(expected, kind="stable")], 5)]:
+            se = part.std(ddof=1) / math.sqrt(part.size)
+            assert abs(part.mean()) <= 3 * se
 
 
 # The start rule as three functions, kept as the reference the one rule in

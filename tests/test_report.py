@@ -92,11 +92,19 @@ class TestReadEventsCsv:
         assert [ds.cohort for ds in out] == ["z", "a"]
         assert out[0].records.times.tolist() == [1.0, 3.0]
 
-    def test_missing_header(self):
-        with pytest.raises(CsvFormatError, match="line 1"):
-            parse("t,e,c\n1,1,a\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
-            parse("")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("t,e,c\n1,1,a\n", "^line 1: missing or invalid header", id="other-names"),
+            pytest.param("", "^line 1: missing or invalid header", id="empty"),
+            # the header is read in the same strict dialect as the records
+            pytest.param('time,event,"cohort\n1,1,a\n', "^line 1: unexpected end of data$", id="open-quote"),
+            pytest.param('"time"x,event,cohort\n1,1,a\n', "^line 1: ',' expected after '\"'$", id="after-quote"),
+        ],
+    )
+    def test_missing_header(self, text, message):
+        with pytest.raises(CsvFormatError, match=message):
+            parse(text)
 
     def test_bad_event_flag_names_line(self):
         with pytest.raises(CsvFormatError, match="line 3"):
@@ -149,16 +157,21 @@ class TestReadEventsCsv:
         ],
     )
     def test_record_spanning_lines_names_line(self, text, line):
-        with pytest.raises(CsvFormatError, match=f"line {line}: a quoted field spans lines"):
-            parse(text)
+        # with one line a chunk, a quote is open at the end of a chunk that is not the last
+        for chunk in (events._CHUNK_LINES, 1):
+            with patch.object(events, "_CHUNK_LINES", chunk):
+                with pytest.raises(CsvFormatError, match=f"line {line}: a quoted field spans lines"):
+                    parse(text)
 
     # a text stream over bytes splits only at its newline and reads any other line break as is
     @pytest.mark.parametrize("newline, inside", [("\r\n", "\n"), ("\r\n", "\r"), ("\r", "\n")])
     def test_quoted_line_break_within_one_stream_line_names_line(self, newline, inside):
-        text = newline.join(["time,event,cohort", "1,1,a", f'2,1,"a{inside}b"', ""])
-        stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
-        with pytest.raises(CsvFormatError, match="^line 3: a quoted field spans lines"):
-            read_events_csv(stream)
+        # the break may sit just before the closing quote, where the line's end is not
+        for record in (f'2,1,"a{inside}b"', f'2,1,"ab{inside}"'):
+            text = newline.join(["time,event,cohort", "1,1,a", record, ""])
+            stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+            with pytest.raises(CsvFormatError, match="^line 3: a quoted field spans lines"):
+                read_events_csv(stream)
 
     @pytest.mark.parametrize("text", ['1,1,"a"b', '1,1,"a" ', '"1"x,1,a'])
     def test_text_after_closing_quote_names_line(self, tmp_path, text):
