@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
-from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
-from pathlib import Path
+from itertools import chain, islice, repeat
+from operator import length_hint
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -122,7 +122,7 @@ def read_events_csv(source) -> list[CohortDataset]:
     input raises CsvFormatError naming the first bad line, and so does a byte that
     is not UTF-8, from a path or as a stream's lone surrogate (errors="surrogateescape").
     """
-    owned = isinstance(source, (str, Path))
+    owned = isinstance(source, (str, os.PathLike))
     opened = (
         open(source, encoding="utf-8", errors="surrogateescape", newline="") if owned else nullcontext(source)
     )
@@ -178,57 +178,59 @@ def _parse_chunk(
     """Time, flag and cohort-code columns of a chunk of lines, one entry per line.
 
     ``first`` is the line number of lines[0]. A chunk whose first lines repeat
-    is deduplicated, so each distinct line is parsed once, by _parse_plain or
-    else row by row; a blank line gets code -1 and a new cohort label the next
-    code in ``labels``. A lone surrogate is a byte that is not UTF-8.
+    is deduplicated, so each distinct line is parsed once: split into fields,
+    then checked by _columns. A chunk is split at once when every line is
+    ``time,flag,cohort`` ended by LF, CRLF or the end of the input, with no
+    quote, NUL, other CR or lone surrogate and no field over the csv field size
+    limit; any other is split by the csv module, up to the first line it
+    rejects. A lone surrogate is a byte that is not UTF-8.
     """
 
-    def error(line: str, message: str) -> CsvFormatError:
-        # a line's first occurrence is the first row of the chunk to fail
-        return CsvFormatError(f"line {first + lines.index(line)}: {message}")
+    def error(i: int, message: str) -> CsvFormatError:
+        # a distinct line's first occurrence is the first line of the chunk to fail
+        return CsvFormatError(f"line {first + lines.index(distinct[i])}: {message}")
 
     head = lines[:_TIE_PROBE]
     distinct = lines if len(set(head)) == len(head) else list(dict.fromkeys(lines))
-    columns = _parse_plain(distinct, labels)
-    if columns is None:
-        times, flags, codes = array("d"), array("b"), array("i")
+    n = len(distinct)
+    # a comma also joins the lines, so the separators (comma, LF and NUL) of a chunk
+    # split at once run comma, comma, LF, comma for every line
+    text = ",".join(distinct).replace("\r\n", "\n").removesuffix("\n") + "\n"
+    if plain := not ('"' in text or "\r" in text or max(map(len, distinct)) > csv.field_size_limit()):
+        try:
+            raw = np.frombuffer(text.encode() + b",", np.uint8)
+        except UnicodeEncodeError:  # a lone surrogate
+            plain = False
+    if plain:
+        seps = raw[(raw == ord(",")) | (raw == ord("\n")) | (raw == 0)]
+        plain = seps.size == 4 * n and (seps.reshape(n, 4) == np.frombuffer(b",,\n,", np.uint8)).all()
+    stop = None  # the message for the first line the csv module rejects
+    if plain:
+        fields = text.replace("\n", "").split(",")
+        fields = fields[0::3], fields[1::3], fields[2::3]
+    else:
+        split = []
         # a closing quote after the last line ends a record still open there on a later line
         reader = csv.reader(chain(distinct, ['"']), strict=True)
         spans = "a quoted field spans lines; each record must fit on one line"
-        try:
+        try:  # the split's own rejections raise csv.Error too, to be named in one place
             for line, row in zip(distinct, reader):
-                if not line.isascii() and (message := _not_utf8(line)):
-                    raise error(line, message)
+                if not line.isascii() and _not_utf8(line):
+                    raise csv.Error  # named by its byte, below
                 # only an open quote carries a field past the end of its line, or past a
                 # line break the stream did not end it at (io.StringIO's only ending is "\n")
                 if '"' in line and (
-                    reader.line_num > len(codes) + 1 or "\r" in (body := line.rstrip("\r\n")) or "\n" in body
+                    reader.line_num > len(split) + 1 or "\r" in (body := line.rstrip("\r\n")) or "\n" in body
                 ):
-                    raise error(line, spans)
-                if not row:
-                    times.append(1.0)
-                    flags.append(0)
-                    codes.append(-1)
-                    continue
-                if len(row) != 3:
-                    raise error(line, f"expected 3 fields, got {len(row)}")
-                raw_time, raw_event, cohort = row
-                try:
-                    time = float(raw_time)
-                except ValueError:
-                    raise error(line, f"non-numeric time {raw_time!r}") from None
-                if not (math.isfinite(time) and time > 0.0):
-                    raise error(line, f"time must be a positive finite number, got {raw_time}")
-                flag = raw_event.strip()
-                if flag not in ("0", "1"):
-                    raise error(line, f"event flag must be 0 or 1, got {raw_event!r}")
-                times.append(time)
-                flags.append(flag == "1")
-                codes.append(labels.setdefault(cohort, len(labels)))
+                    raise csv.Error(spans)
+                if row and len(row) != 3:
+                    raise csv.Error(f"expected 3 fields, got {len(row)}")
+                split.append(row or ("1", "0", None))  # a blank line: fields that pass, no label
         except csv.Error as exc:  # named by the record's first line; an open quote runs past it
-            record = distinct[len(codes) : reader.line_num]
-            raise error(record[0], _not_utf8(record[0]) or (spans if len(record) > 1 else str(exc))) from None
-        columns = (np.frombuffer(times), np.frombuffer(flags, np.int8), np.frombuffer(codes, np.intc))
+            record = distinct[len(split) : reader.line_num]
+            stop = _not_utf8(record[0]) or (spans if len(record) > 1 else str(exc))
+        fields = tuple(zip(*split)) or ((), (), ())
+    columns = _columns(*fields, labels, error, stop)
 
     if len(distinct) == len(lines):
         return columns
@@ -238,43 +240,40 @@ def _parse_chunk(
     return tuple(column[rows] for column in columns)
 
 
-def _parse_plain(
-    lines: list[str], labels: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The columns of a chunk's lines parsed at once, or None if any line needs the csv module.
+def _columns(raw_times, raw_flags, cohorts, labels: dict[str, int], error, stop: str | None):
+    """Time, flag and cohort-code columns of a chunk's fields, one entry per distinct line.
 
-    Every line must be ``time,flag,cohort`` ended by LF, CRLF or the end of the
-    input, with no quote, NUL, other CR or lone surrogate and no field over the
-    csv field size limit, a time that float() reads as positive and finite, and
-    a flag of exactly 0 or 1. Label codes are assigned only once every check passed.
+    A time is what float() reads, positive and finite, and a flag is 0 or 1
+    once stripped. The first line to fail raises ``error(index, message)``: a
+    non-numeric time first, then the time's range, then the flag. If none does,
+    ``stop`` is the message of the line after them. Only then does a new label
+    take the next code in ``labels``; a blank line's label is None, its code -1.
     """
-    n = len(lines)
-    # a comma also joins the lines, so the separators (comma, LF and NUL) must
-    # run comma, comma, LF, comma for every line
-    text = ",".join(lines).replace("\r\n", "\n").removesuffix("\n") + "\n"
-    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
-        return None
+    n = len(cohorts)
+    rest = iter(raw_times)
     try:
-        raw = np.frombuffer(text.encode() + b",", np.uint8)
-    except UnicodeEncodeError:  # a lone surrogate
-        return None
-    seps = raw[(raw == ord(",")) | (raw == ord("\n")) | (raw == 0)]
-    if seps.size != 4 * n or (seps.reshape(n, 4) != np.frombuffer(b",,\n,", np.uint8)).any():
-        return None
-    fields = text.replace("\n", "").split(",")
-    raw_times, raw_flags, cohorts = fields[0::3], fields[1::3], fields[2::3]
-    if raw_flags.count("0") + raw_flags.count("1") != n:
-        return None
-    try:
-        times = np.fromiter(map(float, raw_times), np.float64, count=n)
-    except ValueError:
-        return None
-    if not ((times > 0.0) & (times < math.inf)).all():
-        return None
-    flags = np.frombuffer("".join(raw_flags).encode(), np.int8) - ord("0")
+        times = np.fromiter(map(float, rest), np.float64, count=n)
+    except ValueError:  # at the time before the rest, which fails if the lines before it pass
+        i = n - 1 - length_hint(rest)
+        stop = f"non-numeric time {raw_times[i]!r}"
+        return _columns(raw_times[:i], raw_flags[:i], cohorts[:i], labels, error, stop)
+    flags, bad_flag = raw_flags, False
+    if flags.count("0") + flags.count("1") != n:  # a flag that is padded, or not 0 or 1
+        flags = [flag.strip() for flag in raw_flags]
+        bad_flag = np.array([flag not in ("0", "1") for flag in flags], dtype=bool)
+    bad_time = ~((times > 0.0) & (times < math.inf))
+    if (bad := bad_time | bad_flag).any():
+        i = int(np.argmax(bad))
+        if bad_time[i]:
+            raise error(i, f"time must be a positive finite number, got {raw_times[i]}") from None
+        raise error(i, f"event flag must be 0 or 1, got {raw_flags[i]!r}") from None
+    if stop:
+        raise error(n, stop) from None
     for cohort in dict.fromkeys(cohorts):
-        labels.setdefault(cohort, len(labels))
-    return times, flags, np.fromiter(map(labels.__getitem__, cohorts), np.intc, count=n)
+        if cohort is not None:
+            labels.setdefault(cohort, len(labels))
+    flags = np.frombuffer("".join(flags).encode(), np.int8) - ord("0")
+    return times, flags, np.fromiter(map(labels.get, cohorts, repeat(-1)), np.intc, count=n)
 
 
 def _quoted(label: str) -> str:
@@ -312,7 +311,7 @@ def _write_columns(dest, header: list[str], groups: list[tuple[str, list[np.ndar
     1-d arrays of one length, checked by the caller. Each chunk of
     _CHUNK_LINES rows is formatted with one %.
     """
-    if isinstance(dest, (str, Path)):
+    if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             return _write_columns(handle, header, groups)
     dest.write(",".join(header) + "\r\n")

@@ -265,6 +265,15 @@ class TestCsvRoundTrip:
         assert len(back) == 1
         assert back[0].records == recs
 
+    def test_path_like_is_a_path(self, tmp_path):
+        # an os.DirEntry is an os.PathLike that is neither a str nor a Path
+        (tmp_path / "events.csv").touch()
+        with os.scandir(tmp_path) as entries:
+            (entry,) = entries
+        recs = EventTable([1.5, 2.5], [1, 0], "a")
+        write_events_csv(recs, entry)
+        assert read_events_csv(entry)[0].records == recs
+
     def test_awkward_floats_are_lossless(self):
         recs = EventTable([0.1 + 0.2, 1.0 / 3.0, math.pi, 1e-300], [1, 0, 1, 1], "a")
         buf = io.StringIO()
@@ -592,6 +601,10 @@ def event_csv(draw):
     return text
 
 
+# the other arguments of test_same_cohorts_or_same_error's examples: one chunk of LF lines
+ONE_CHUNK = dict(chunk=64, newline="\n", limit=csv.field_size_limit(), probe=8)
+
+
 class TestReaderMatchesRowLoop:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -601,6 +614,14 @@ class TestReaderMatchesRowLoop:
         limit=st.sampled_from([csv.field_size_limit(), SMALL_FIELD_LIMIT]),
         probe=st.integers(1, 8),
     )
+    # the first failing line is named, whatever rule it fails: a bad time before an open quote,
+    # a bad flag before a bad time, a missing field before a bad time; on one line the time's
+    # range is named before the flag; a padded flag reads
+    @example(text='time,event,cohort\n1,1,"a"\n-0,1,b\n2,1,"c\n', **ONE_CHUNK)
+    @example(text="time,event,cohort\n1,2,a\nx,1,a\n", **ONE_CHUNK)
+    @example(text="time,event,cohort\n1,1,a\n2,1\nx,1,a\n", **ONE_CHUNK)
+    @example(text="time,event,cohort\n1,1,a\n-0,2,a\n", **ONE_CHUNK)
+    @example(text="time,event,cohort\n1.5, 1,a\n2,0,b\n", **ONE_CHUNK)
     def test_same_cohorts_or_same_error(self, text, chunk, newline, limit, probe):
         with field_size_limit(limit):
             try:
@@ -672,39 +693,42 @@ class TestReaderMatchesRowLoop:
             got = [(ds.cohort, ds.records.times.tolist(), ds.records.flags.tolist()) for ds in parse(text)]
         assert got == [("a", [1.0, 1.0, 1.0, 3.0], [1, 1, 1, 1]), ("b", [2.0], [0])]
 
+    @staticmethod
+    def csv_splits():
+        """A spy on the csv module's reader, and the list of the last line of each chunk it splits."""
+        split = []
+
+        def spy(lines, real=csv.reader, **kwargs):
+            lines = list(lines)
+            if len(lines) > 1:  # a chunk's lines and their closing quote; the header is a line alone
+                split.append(lines[-2])
+            return real(lines, **kwargs)
+
+        return patch.object(csv, "reader", spy), split
+
     def test_plain_chunks_are_parsed_as_columns(self):
-        parsed = []
-
-        def spy(lines, labels, real=events._parse_plain):
-            columns = real(lines, labels)
-            parsed.append(columns is not None)
-            return columns
-
+        spy, split = self.csv_splits()
         plain = "time,event,cohort\r\n1.5,1,a\r\n2,0,b\r\n1_0,1,a"
-        with patch.object(events, "_parse_plain", spy):
+        with spy:
             assert [ds.cohort for ds in parse(plain)] == ["a", "b"]
-            # a quote, a padded flag and a blank line parse with the csv module
+            # a quote and a blank line are split by the csv module, a padded flag as columns
             for odd in ['1.5,1,"a"', "1.5, 1,a", ""]:
                 assert len(parse(plain + "\n" + odd + "\n")) == 2
-            # so do lines that fail, and only the csv module raises
+            # a fourth field and a bare CR are split by the csv module, which rejects them;
+            # a failing value is split as columns and fails its column check
             for bad in ["1.5,1,a,", "-0,1,a", "1.5,1,a\rb", "1.5,,a\n2,01,a"]:
                 with pytest.raises(CsvFormatError, match="line 5"):
                     parse(plain + "\n" + bad + "\n")
             with field_size_limit(SMALL_FIELD_LIMIT), pytest.raises(CsvFormatError, match="line 5: field"):
                 parse(plain + "\n1.5,1," + "x" * (SMALL_FIELD_LIMIT + 1))
-        assert parsed == [True] + [False] * 8
+        # so the padded flag and the failing values do not reach the csv module
+        assert split == ['1.5,1,"a"\n', "\n", "1.5,1,a,\n", "1.5,1,a\rb\n", "1.5,1," + "x" * (SMALL_FIELD_LIMIT + 1)]
 
     def test_file_with_labels_that_are_not_ascii_is_parsed_as_columns(self, tmp_path):
-        parsed = []
-
-        def spy(lines, labels, real=events._parse_plain):
-            columns = real(lines, labels)
-            parsed.append(columns is not None)
-            return columns
-
+        spy, split = self.csv_splits()
         p = tmp_path / "events.csv"
         p.write_text("time,event,cohort\n1.5,1,２０\n2,0,vintage-２０\n3,1,２０\n", encoding="utf-8")
-        with patch.object(events, "_parse_plain", spy):
+        with spy:
             got = [(ds.cohort, ds.records.times.tolist()) for ds in read_events_csv(p)]
         assert got == [("２０", [1.5, 3.0]), ("vintage-２０", [2.0])]
-        assert parsed == [True]
+        assert split == []
