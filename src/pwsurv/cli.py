@@ -18,7 +18,7 @@ from importlib import import_module
 
 import numpy as np
 
-from .events import ModelKind, read_events_csv, write_events_csv, write_overlay_csv
+from .events import ModelKind, _overwrite, read_events_csv, write_events_csv, write_overlay_csv
 from .models import LatentCountParams, ModelSpec, SimConfig, WeibullParams, model_survival, simulate_cohort
 
 
@@ -104,7 +104,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with _overwrite(out, newline=None) as handle:
             handle.write(text + "\n")
 
 

@@ -14,7 +14,8 @@ import io
 import math
 import os
 import re
-from contextlib import nullcontext
+import stat
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -312,7 +313,7 @@ def _write_columns(dest, header: list[str], groups: list[tuple[str, list[np.ndar
     _CHUNK_LINES rows is formatted with one %.
     """
     if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
+        with _overwrite(dest, newline="") as handle:
             return _write_columns(handle, header, groups)
     dest.write(",".join(header) + "\r\n")
     for fmt, columns in groups:
@@ -323,6 +324,30 @@ def _write_columns(dest, header: list[str], groups: list[tuple[str, list[np.ndar
             for i, column in enumerate(chunk):
                 values[i::width] = column
             dest.write((fmt * len(chunk[0])) % tuple(values))
+
+
+@contextmanager
+def _overwrite(path, newline: str | None):
+    """A UTF-8 text stream that rewrites the file at ``path`` from its start, created if missing.
+
+    The file is opened without O_TRUNC: truncating a file whose blocks are
+    allocated can cost more than writing it. On leaving, even by an exception,
+    the stream is flushed and a regular file is cut to the bytes written, so
+    it holds those bytes and no tail of its old content. The inode is the one
+    open(path, "w") would write (a symlink's target, a hard link's file, with
+    its mode); a FIFO or a device is written and not cut. ``newline`` is
+    open()'s argument.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as stream:
+        try:
+            yield stream
+        finally:
+            try:
+                stream.flush()
+            finally:  # after a failed flush too, at the bytes the file took
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def write_overlay_csv(columns_by_cohort: Mapping[str, Sequence], dest, with_model: bool) -> None:

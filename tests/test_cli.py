@@ -19,7 +19,7 @@ from pwsurv import (
 )
 from pwsurv.cli import main
 
-from test_report import LABELS, csv_text
+from test_report import LABELS, check_rewrites, csv_text
 
 SRC = Path(pwsurv.__file__).resolve().parent.parent
 
@@ -140,6 +140,12 @@ class TestFit:
         dest = tmp_path / "fit.txt"
         assert main(["fit", "--input", str(sim_csv), "--out", str(dest)]) == 0
         assert "log-likelihood" in dest.read_text()
+
+    def test_output_file_is_rewritten_in_place(self, sim_csv, tmp_path):
+        def write(dest):
+            assert main(["fit", "--input", str(sim_csv), "--out", os.fspath(dest)]) == 0
+
+        check_rewrites(write, tmp_path)
 
     def test_nonconvergence_exit_2(self, sim_csv, capsys):
         code = main(["fit", "--input", str(sim_csv), "--max-iter", "1"])

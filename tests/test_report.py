@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import stat
+import threading
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -49,6 +51,56 @@ def csv_text(rows, quoting=csv.QUOTE_MINIMAL):
 
 def parse(text):
     return read_events_csv(io.StringIO(text))
+
+
+def check_rewrites(write, tmp_path):
+    """Check that write(dest), which writes one output to a path, rewrites a file in place.
+
+    An existing file, shorter or longer than the output, ends up holding just
+    the output's bytes; a symlink stays a link and its target is rewritten; a
+    hard link sees the new bytes and the file keeps its mode; os.devnull and a
+    FIFO can be written. Every destination is opened without O_TRUNC.
+    """
+    root = tmp_path / "rewrites"
+    root.mkdir()
+    dests = []
+
+    def rewrite(dest, old=None):
+        if old is not None:
+            dest.write_bytes(old)
+        dests.append(dest)
+        write(dest)
+
+    with patch("os.open", wraps=os.open) as spy:
+        rewrite(root / "fresh")
+        new = (root / "fresh").read_bytes()
+        dest = root / "out"
+        for old in (b"x" * (len(new) + 5000), b"x"):  # a shorter rewrite, then a longer one
+            rewrite(dest, old)
+            assert dest.read_bytes() == new
+        link = root / "link"
+        link.symlink_to(dest)
+        dest.write_bytes(b"x" * (len(new) + 1))
+        rewrite(link)
+        assert link.is_symlink() and dest.read_bytes() == new
+        hard = root / "hard"
+        os.link(dest, hard)
+        dest.chmod(0o600)
+        rewrite(hard, b"x" * (len(new) + 1))
+        assert dest.read_bytes() == new and stat.S_IMODE(dest.stat().st_mode) == 0o600
+        rewrite(os.devnull)
+        fifo = root / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        rewrite(fifo)
+        reader.join(timeout=60)
+        assert read == [new]
+    paths = [os.fspath(dest) for dest in dests]
+    opened = [c.args for c in spy.call_args_list if os.fspath(c.args[0]) in paths]
+    assert [os.fspath(path) for path, *_ in opened] == paths
+    assert not any(flags & os.O_TRUNC for _, flags, *_ in opened)
 
 
 def make_fit(model, converged=True, loglik=-100.0):
@@ -298,6 +350,8 @@ class TestCsvRoundTrip:
         table = EventTable(np.array([1.0]), np.array([1]), label)
         columns = {label: [np.array([0.0]), np.array([1.0])]}
         writers = [lambda dest: write_events_csv(table, dest), lambda dest: write_overlay_csv(columns, dest, False)]
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"time,event,cohort\r\n1,1,old\r\n")
         for write in writers:
             buf = io.StringIO()
             with pytest.raises(ValueError, match=match):
@@ -306,6 +360,46 @@ class TestCsvRoundTrip:
             with pytest.raises(ValueError, match=match):
                 write(tmp_path / "out.csv")
             assert not (tmp_path / "out.csv").exists()
+            with pytest.raises(ValueError, match=match):
+                write(existing)
+            assert existing.read_bytes() == b"time,event,cohort\r\n1,1,old\r\n"
+
+    @pytest.mark.parametrize("writer", ["events", "overlay"])
+    def test_path_is_rewritten_in_place(self, writer, tmp_path):
+        table = EventTable([1.5, 2.5, 3.5], [1, 0, 1], "a")
+        columns = {"a": [np.array([0.0, 1.5]), np.array([1.0, 0.5])], "b": [np.array([0.0]), np.array([1.0])]}
+        writes = {
+            "events": lambda dest: write_events_csv(table, dest),
+            "overlay": lambda dest: write_overlay_csv(columns, dest, with_model=False),
+        }
+        check_rewrites(writes[writer], tmp_path)
+
+    def test_failed_write_leaves_the_rows_written_before_it(self, tmp_path):
+        # the header is the first write and each row a chunk: the stream refuses the second chunk
+        overwrite = events._overwrite
+
+        class Refusing:
+            def __init__(self, stream):
+                self.stream, self.writes = stream, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("no space left")
+                return self.stream.write(text)
+
+        @contextmanager
+        def refusing(path, newline):
+            with overwrite(path, newline) as stream:
+                yield Refusing(stream)
+
+        dest = tmp_path / "events.csv"
+        dest.write_bytes(b"x" * 100)
+        table = EventTable([1.5, 2.5, 3.5], [1, 0, 1], "a")
+        with patch.object(events, "_CHUNK_LINES", 1), patch.object(events, "_overwrite", refusing):
+            with pytest.raises(OSError, match="no space left"):
+                write_events_csv(table, dest)
+        assert dest.read_bytes() == b"time,event,cohort\r\n1.5,1,a\r\n"
 
     @pytest.mark.parametrize("label", LABELS)
     def test_event_write_matches_csv_writer(self, label):
