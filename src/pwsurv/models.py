@@ -300,7 +300,10 @@ def simulate_cohort(cfg: SimConfig, cohort: str = "sim") -> EventTable:
     uniforms, counts, exponentials = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
-    m = _latent_count(cfg.model.kind, theta, uniforms.random(cfg.n), counts)
+    try:
+        m = _latent_count(cfg.model.kind, theta, uniforms.random(cfg.n), counts)
+    except ValueError as exc:  # numpy's Poisson sampler refuses a mean above about 9.2e18
+        raise ValueError(f"theta {theta!r} is too large to simulate: {exc}") from None
     with np.errstate(divide="ignore", over="ignore"):
         times = scale * (exponentials.standard_exponential(cfg.n) / m) ** (1.0 / shape)
     # A small shape can take a time below the least positive double or above the

@@ -38,8 +38,10 @@ from pwsurv.report import dumps_fit_reports, fit_report_dict
 from cohorts import recovery_spec
 
 
-# cohort labels that need quoting or would break a format string
-LABELS = ["2008", "a,b", 'say "x"', '"', "", "{0}", "}{", " pad ", "%", "%s", "%%", "%(x)s", "{", "}"]
+# cohort labels that need quoting or would break a format string, and one that is UTF-8 but not ASCII
+LABELS = [
+    "2008", "a,b", 'say "x"', '"', "", "{0}", "}{", " pad ", "%", "%s", "%%", "%(x)s", "{", "}", "vintage-２０"
+]
 
 
 def csv_text(rows, quoting=csv.QUOTE_MINIMAL):
@@ -316,6 +318,11 @@ class TestCsvRoundTrip:
         back = read_events_csv(path)
         assert len(back) == 1
         assert back[0].records == recs
+        # a copy with every field quoted, and one with each flag padded (", 1,"), read as the file they copy
+        header, *rows = csv.reader(io.StringIO(path.read_text(), newline=""))
+        padded = [header, *([t, " " + e, c] for t, e, c in rows)]
+        for copy in (csv_text([header, *rows], csv.QUOTE_ALL), csv_text(padded)):
+            assert [ds.records for ds in parse(copy)] == [recs]
 
     def test_path_like_is_a_path(self, tmp_path):
         # an os.DirEntry is an os.PathLike that is neither a str nor a Path
