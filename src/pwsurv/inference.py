@@ -208,14 +208,14 @@ def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: n
     """Start values: shape and scale from the first valid Weibull plot of the KM curve.
 
     The plots are tried in order. For ptm, -ln S_KM(t) estimates theta*F(t), so
-    the KM plot plateaus instead of diverging; rescaling it by its terminal
-    value recovers F, whose plot comes first. Then, for both kinds, the plain
-    plot of log(-log S) on log t over event times with 0 < S < 1. A plot
-    qualifies with at least two points and a least-squares line
-    y = shape * (log t - log scale) of full rank, as np.polyfit reports it,
-    and of positive finite shape and scale; when none does the start is shape
-    1 and the mean time. theta starts at 1 for zt and at its clipped profile
-    value for ptm.
+    the KM plot plateaus instead of diverging; rescaling it by its value at the
+    last event time with S > 0 recovers F, whose plot log(-log(1 - F)) on log t
+    over 0.01 < F < 0.99 comes first. Then, for both kinds, the plain plot of
+    log(-log S) on log t over event times with 0 < S < 1. A plot qualifies with
+    at least two points and a least-squares line y = shape * (log t - log scale)
+    of full rank, as np.polyfit reports it, and of positive finite shape and
+    scale; when none does the start is shape 1 and the mean time. theta starts
+    at 1 for zt and, for ptm, at its profile value clipped to [1e-3, 1e3].
     """
     survival = curve.survival
     plots = []
@@ -243,13 +243,9 @@ def _initial_params(kind: ModelKind, curve: KmCurve, times: np.ndarray, flags: n
     if kind is ModelKind.ZERO_TRUNCATED:
         theta0 = 1.0
     else:
-        # profile value: d loglik / d theta = 0 at theta = events / sum F(t_i)
-        cdf_sum = float(np.sum(-np.expm1(-((times / scale0) ** shape0))))
-        if cdf_sum > 0.0:
-            theta0 = float(np.sum(flags)) / cdf_sum
-        else:
-            theta0 = -math.log(max(0.01, 1.0 - float(np.mean(flags))))
-        theta0 = min(max(theta0, 1e-3), 1e3)
+        # profile value: d loglik / d theta = 0 at theta = events / sum F(t_i), inf at a sum of 0
+        w = _weibull_terms(times, shape0, scale0)[1]
+        theta0 = min(max(float(np.sum(flags) / np.sum(-np.expm1(-w))), 1e-3), 1e3)
     return np.array([theta0, shape0, scale0])
 
 

@@ -572,9 +572,12 @@ class TestChildProcess:
             pwsurv.read_events_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
     def test_start_values_that_overflow_print_no_warning(self, tmp_path, capsys):
-        # the zt cohort's mean time overflows, and so does the ptm cohort's profile sum
-        # at its start; a RuntimeWarning would be an error in the child, as it is here
-        rows = "1e308,1,zt\n1e308,1,zt\n1.7e308,1,zt\n1e-300,1,ptm\n2e-300,1,ptm\n3e-300,0,ptm\n1,0,ptm\n"
+        # the zt and ptm-mean cohorts' mean times overflow, and so does the ptm cohort's profile
+        # sum at its start; a RuntimeWarning would be an error in the child, as it is here
+        rows = (
+            "1e308,1,zt\n1e308,1,zt\n1.7e308,1,zt\n1e-300,1,ptm\n2e-300,1,ptm\n3e-300,0,ptm\n1,0,ptm\n"
+            "1e308,0,ptm-mean\n1.2e308,1,ptm-mean\n1.7e308,1,ptm-mean\n"
+        )
         path = tmp_path / "overflow.csv"
         path.write_text((Path(__file__).parent / "data" / "rendering" / "events.csv").read_text() + rows)
         args = ["fit", "--input", str(path)]
@@ -583,9 +586,12 @@ class TestChildProcess:
         assert (capsys.readouterr().out.encode(), child.stderr) == (child.stdout, b"")
         blocks = child.stdout.decode().split("\n\n")
         assert [block.split("\n")[0] for block in blocks] == [
-            "cohort 2008 [zt]", "cohort 2011 [ptm]", "cohort late [ptm]", "cohort zt [zt]", "cohort ptm [ptm]"
+            "cohort 2008 [zt]", "cohort 2011 [ptm]", "cohort late [ptm]", "cohort zt [zt]", "cohort ptm [ptm]",
+            "cohort ptm-mean [ptm]",
         ]
-        assert blocks[3] == "cohort zt [zt]\n  FAILED: log-likelihood is not finite at the starting point"
+        failed = "  FAILED: log-likelihood is not finite at the starting point"
+        assert blocks[3] == f"cohort zt [zt]\n{failed}"
+        assert blocks[5] == f"cohort ptm-mean [ptm]\n{failed}\n"
 
     def test_nonconvergence_exit_2(self, sim_csv, capsys):
         args = ["fit", "--input", str(sim_csv), "--max-iter", "1"]

@@ -49,7 +49,7 @@ from pwsurv.inference import (
     _zt_loglik,
     _zt_score,
 )
-from pwsurv.models import _latent_count
+from pwsurv.models import _latent_count, _weibull_terms
 from pwsurv.report import fit_report_dict
 
 from cohorts import DEFAULT_FITS, HORIZON, RECOVERY_FITS, all_specs, estimates, recovery_spec
@@ -661,12 +661,9 @@ def _reference_start(kind, curve, times, flags):
     if kind is ModelKind.ZERO_TRUNCATED:
         return np.array([1.0, *_reference_km_start(curve, times)])
     shape0, scale0 = _reference_ptm_start(curve, times)
-    cdf_sum = float(np.sum(-np.expm1(-((times / scale0) ** shape0))))
-    if cdf_sum > 0.0:
-        theta0 = float(np.sum(flags)) / cdf_sum
-    else:
-        theta0 = -math.log(max(0.01, 1.0 - float(np.mean(flags))))
-    return np.array([min(max(theta0, 1e-3), 1e3), shape0, scale0])
+    w = _weibull_terms(times, shape0, scale0)[1]
+    theta0 = min(max(float(np.sum(flags) / np.sum(-np.expm1(-w))), 1e-3), 1e3)
+    return np.array([theta0, shape0, scale0])
 
 
 class TestStartRule:
@@ -775,6 +772,11 @@ class TestRidgeRule:
         hess = np.diag([-1.0, -1.0, -1.0])
         hess[0, 2] = hess[2, 0] = bad
         np.testing.assert_array_equal(_ascent_direction(hess, self.G), self.G / 1.2)
+
+    def test_failed_solve_takes_the_normalized_gradient_step(self):
+        hess = np.diag([-1.0, -2.0, -3.0])
+        with patch("numpy.linalg.solve", side_effect=np.linalg.LinAlgError("singular matrix")):
+            np.testing.assert_array_equal(_ascent_direction(hess, self.G), self.G / 1.2)
 
     def test_top_eigenvalue_beyond_the_last_shift_takes_the_normalized_gradient_step(self):
         # ridge = 1e-3 * 1e-2 floored at 1e-3; the last shift is 1e-3 * 4^59, about 3.3e32

@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from pwsurv import (
+    LatentCountParams,
     ModelKind,
     ModelSpec,
+    WeibullParams,
     cure_fraction,
     elgd_at_horizon,
     model_density,
@@ -37,6 +39,10 @@ class TestModelSpec:
     def test_promotion_time_allows_zero_theta(self):
         m = ModelSpec.promotion_time(0.0, 1.0, 1.0)
         assert cure_fraction(m) == 1.0
+
+    def test_kind_must_be_a_model_kind(self):
+        with pytest.raises(ValueError, match="^kind must be a ModelKind, got 'zt'$"):
+            ModelSpec("zt", LatentCountParams(1.0), WeibullParams(1.0, 1.0))
 
     def test_params_order(self):
         m = ModelSpec.zero_truncated(2.0, 1.5, 3.0)
